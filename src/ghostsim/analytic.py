@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coherence import coherence_kernel_map
+from .coherence import _trapezoid_weights, coherence_kernel_map
 from .ensemble import CorrelationProfile
 from .errors import (
     DegenerateStatisticsError,
@@ -96,10 +96,7 @@ def delta_g2_analytic(
     t2 = np.abs(mask.t) ** 2
     if not np.any(t2 > 0):
         raise DegenerateStatisticsError("mask transmits nothing; delta_g2 undefined")
-    w = np.full(mask.grid.n_points, mask.grid.dx)
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    weights = t2 * w
+    weights = t2 * _trapezoid_weights(mask.grid.n_points, mask.grid.dx)
     sel = weights > 0
     x1 = mask.grid.x[sel]
     weights = weights[sel]

@@ -195,9 +195,5 @@ def main(argv=None) -> int:
     return _cmd_validate(args)
 
 
-def console_entry() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
     sys.exit(main())

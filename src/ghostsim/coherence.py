@@ -13,7 +13,9 @@ familiar van Cittert-Zernike sinc: |K|^2 ~ sinc^2(2a(x2-x1)/(lambda*z)).
 The integral is done by fixed-step trapezoid over the source support, at
 least 8 samples per pi of chirp phase, with step halving until successive
 results agree to 1e-8 (relative, with an absolute floor tied to the kernel
-scale so the loop also terminates on the zeros of K).
+scale so the loop also terminates on the zeros of K). A geometry that
+needs more than 2^22 (about 4M) points, or 14 halvings, to converge lies
+outside the intended paraxial regime and raises InvalidArgumentError.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ __all__ = ["mutual_coherence_kernel", "coherence_kernel_map"]
 _REL_TOL = 1e-8
 _MAX_DOUBLINGS = 14
 _MIN_POINTS = 65
+_MAX_POINTS = 1 << 22
 
 
 def _phase_rule_points(
@@ -47,7 +50,7 @@ def _phase_rule_points(
     total_phase = max_rate * (hi - lo)
     n = int(np.ceil(8.0 * total_phase / np.pi)) + 1
     n = max(n, _MIN_POINTS)
-    if n > (1 << 22):
+    if n > _MAX_POINTS:
         raise InvalidArgumentError(
             "coherence kernel quadrature would need more than 4M points; "
             "geometry is outside the intended paraxial regime"
@@ -55,14 +58,39 @@ def _phase_rule_points(
     return n
 
 
+def _refine(evaluate, n: int, converged):
+    """evaluate(n) with the step halved (n -> 2n - 1) until
+    converged(prev, cur); raises once the halvings or points run out."""
+    prev = evaluate(n)
+    for _ in range(_MAX_DOUBLINGS):
+        n = 2 * n - 1
+        if n > _MAX_POINTS:
+            break
+        cur = evaluate(n)
+        if converged(prev, cur):
+            return cur
+        prev = cur
+    raise InvalidArgumentError(
+        f"coherence kernel quadrature did not converge within {_MAX_DOUBLINGS} "
+        f"step halvings and {_MAX_POINTS} points; geometry is outside the "
+        "intended paraxial regime"
+    )
+
+
+def _trapezoid_weights(n: int, dx: float) -> np.ndarray:
+    """Trapezoid-rule weights of n samples spaced dx apart."""
+    w = np.full(n, dx)
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    return w
+
+
 def _kernel_fixed(
     x1: float, x2: float, source: SourceSpec, geom: OpticalGeometry, n: int
 ) -> complex:
     lo, hi = source.profile.support()
     xp = np.linspace(lo, hi, n)
-    w = np.full(n, xp[1] - xp[0])
-    w[0] *= 0.5
-    w[-1] *= 0.5
+    w = _trapezoid_weights(n, xp[1] - xp[0])
     lam = source.wavelength
     phase = (np.pi / lam) * ((xp - x1) ** 2 / geom.z1 - (xp - x2) ** 2 / geom.z2)
     c1 = 1.0 / np.sqrt(1j * lam * geom.z1)
@@ -82,14 +110,11 @@ def mutual_coherence_kernel(
     lam = source.wavelength
     # |K| can never exceed the diagonal scale; used as the absolute floor
     scale = source.profile.integral() / (lam * np.sqrt(geom.z1 * geom.z2))
-    prev = _kernel_fixed(x1, x2, source, geom, n)
-    for _ in range(_MAX_DOUBLINGS):
-        n = 2 * n - 1
-        cur = _kernel_fixed(x1, x2, source, geom, n)
-        if abs(cur - prev) <= _REL_TOL * max(abs(cur), 1e-2 * scale):
-            return cur
-        prev = cur
-    return prev
+    return _refine(
+        lambda m: _kernel_fixed(x1, x2, source, geom, m),
+        n,
+        lambda prev, cur: abs(cur - prev) <= _REL_TOL * max(abs(cur), 1e-2 * scale),
+    )
 
 
 def _kernel_rows_fixed(
@@ -107,9 +132,7 @@ def _kernel_rows_fixed(
     lo, hi = source.profile.support()
     quad = make_grid(lo, hi, n)
     xp = quad.x
-    w = np.full(n, quad.dx)
-    w[0] *= 0.5
-    w[-1] *= 0.5
+    w = _trapezoid_weights(n, quad.dx)
     lam = source.wavelength
     intens = source.profile.intensity(xp) * w
     c = (1.0 / np.sqrt(1j * lam * geom.z1)) * np.conj(1.0 / np.sqrt(1j * lam * geom.z2))
@@ -149,12 +172,8 @@ def coherence_kernel_map(
     )
     lam = source.wavelength
     scale = source.profile.integral() / (lam * np.sqrt(geom.z1 * geom.z2))
-    prev = _kernel_rows_fixed(x1_nodes, x2_grid, source, geom, n)
-    for _ in range(_MAX_DOUBLINGS):
-        n = 2 * n - 1
-        cur = _kernel_rows_fixed(x1_nodes, x2_grid, source, geom, n)
-        err = float(np.max(np.abs(cur - prev)))
-        if err <= rtol * scale:
-            return cur
-        prev = cur
-    return prev
+    return _refine(
+        lambda m: _kernel_rows_fixed(x1_nodes, x2_grid, source, geom, m),
+        n,
+        lambda prev, cur: float(np.max(np.abs(cur - prev))) <= rtol * scale,
+    )

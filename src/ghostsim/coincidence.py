@@ -19,10 +19,11 @@ of its stream. Results therefore do not depend on block size or thread
 count.
 
 g2 estimation normalizes the histogram by its far tail (bins beyond ten
-self-estimated coherence times), takes g2(0) from a parabola through the
-three earliest bins extrapolated to t = 0+, and reads the coherence time
-off the half-contrast point of the excess, corrected for bin width by
-parabolic interpolation and scaled by 2/ln2 for the exponential model.
+self-estimated coherence times), takes g2(0) as the Lagrange extrapolation
+of the three earliest bins to t = 0 (the same weights its standard error
+propagates), and reads the coherence time off the half-contrast point of
+the excess, corrected for bin width by parabolic interpolation and scaled
+by 2/ln2 for the exponential model.
 """
 
 from __future__ import annotations
@@ -328,19 +329,6 @@ def start_stop_histogram(
     return CoincidenceHistogram(bin_width, centers, counts, starts.size, stops.size)
 
 
-def _parabola_coeffs(t: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Quadratic a t^2 + b t + c through three points, returned as (a, b, c)."""
-    return np.polyfit(t, y, 2)
-
-
-def _extrapolate_zero(centers: np.ndarray, values: np.ndarray) -> float:
-    """Parabola through the three earliest bins, evaluated at t = 0+."""
-    if centers.size < 3:
-        raise DegenerateStatisticsError("need at least three bins near t = 0")
-    a, b, c = _parabola_coeffs(centers[:3], values[:3])
-    return float(c)
-
-
 def _zero_weights(centers: np.ndarray) -> np.ndarray:
     """Lagrange weights of the three earliest bins at t = 0."""
     c = centers[:3]
@@ -364,7 +352,7 @@ def _baseline_region(h: CoincidenceHistogram) -> np.ndarray:
     if n < 8:
         raise DegenerateStatisticsError("histogram too short to hold a baseline")
     tail = counts[-max(2, n // 4):].mean()
-    peak0 = _extrapolate_zero(h.bin_centers, counts)
+    peak0 = _zero_weights(h.bin_centers) @ counts[:3]
     excess0 = peak0 - tail
     tau_est = h.bin_width
     if excess0 > 10.0 * np.sqrt(max(tail, 1.0)):
@@ -386,28 +374,30 @@ def _baseline_region(h: CoincidenceHistogram) -> np.ndarray:
     return mask
 
 
-def estimate_g2(h: CoincidenceHistogram) -> G2Estimate:
-    """Normalized g2(t) curve, its extrapolated zero-delay value, and contrast."""
+def _normalised(h: CoincidenceHistogram) -> tuple[np.ndarray, np.ndarray, float]:
+    """(g2 curve, baseline mask, baseline level): counts over their far-tail mean."""
     mask = _baseline_region(h)
     counts = h.counts.astype(float)
     baseline = counts[mask].mean()
     if baseline == 0:
         raise DegenerateStatisticsError("baseline of the histogram is zero")
-    g2_curve = counts / baseline
-    g2_zero = _extrapolate_zero(h.bin_centers, g2_curve)
+    return counts / baseline, mask, baseline
+
+
+def estimate_g2(h: CoincidenceHistogram) -> G2Estimate:
+    """Normalized g2(t) curve, its extrapolated zero-delay value, and contrast."""
+    g2_curve, _, _ = _normalised(h)
+    g2_zero = float(_zero_weights(h.bin_centers) @ g2_curve[:3])
     return G2Estimate(g2_curve, g2_zero, g2_zero - 1.0)
 
 
 def g2_zero_standard_error(h: CoincidenceHistogram) -> float:
     """Poisson-propagated standard error of estimate_g2(...).g2_zero."""
-    mask = _baseline_region(h)
-    counts = h.counts.astype(float)
-    baseline = counts[mask].mean()
-    if baseline == 0:
-        raise DegenerateStatisticsError("baseline of the histogram is zero")
+    _, mask, baseline = _normalised(h)
+    counts = h.counts[:3].astype(float)
     w = _zero_weights(h.bin_centers)
-    var_peak = np.sum(w**2 * counts[:3])
-    p0 = float(np.dot(w, counts[:3]))
+    var_peak = np.sum(w**2 * counts)
+    p0 = float(np.dot(w, counts))
     n_b = int(mask.sum())
     var_base = baseline / n_b  # Poisson, averaged over the baseline bins
     return float(np.sqrt(var_peak / baseline**2 + (p0 / baseline**2) ** 2 * var_base))
@@ -422,14 +412,8 @@ def estimate_coherence_time(h: CoincidenceHistogram) -> float:
     Raises NotMeasurableError when the peak does not clear five times the
     baseline noise, which is what a jitter-dominated histogram looks like.
     """
-    mask = _baseline_region(h)
-    counts = h.counts.astype(float)
-    baseline = counts[mask].mean()
-    if baseline == 0:
-        raise DegenerateStatisticsError("baseline of the histogram is zero")
-    g2_curve = counts / baseline
-    g2_zero = _extrapolate_zero(h.bin_centers, g2_curve)
-    contrast = g2_zero - 1.0
+    g2_curve, mask, _ = _normalised(h)
+    contrast = float(_zero_weights(h.bin_centers) @ g2_curve[:3]) - 1.0
     noise = float(g2_curve[mask].std())
     if contrast <= 5.0 * noise:
         raise NotMeasurableError(
@@ -451,7 +435,7 @@ def estimate_coherence_time(h: CoincidenceHistogram) -> float:
         lo, hi = centers[k - 1], centers[k]
     t3 = centers[i0 : i0 + 3]
     y3 = excess[i0 : i0 + 3]
-    a, b, c = _parabola_coeffs(t3, y3)
+    a, b, c = np.polyfit(t3, y3, 2)
     t_half = None
     if a != 0.0:
         disc = b * b - 4.0 * a * (c - half)

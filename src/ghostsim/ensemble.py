@@ -122,6 +122,15 @@ class CorrelationProfile:
     metadata: dict = field(default_factory=dict)
 
 
+def fan_out(fn, items, workers: int) -> list:
+    """[fn(item) for item in items], in order, on up to `workers` threads;
+    serial when workers <= 1."""
+    if workers <= 1:
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
+
+
 def _realization_rng(master_seed: int, realization_index: int) -> Generator:
     key = np.array([master_seed, realization_index], dtype=_U64)
     return Generator(Philox(key=key))
@@ -201,13 +210,10 @@ def _mc_records(
             i1[r] = rec.i1
             i2[r] = rec.i2
 
-    if n_workers <= 1:
-        work(range(n))
-    else:
-        chunk = -(-n // n_workers)
-        ranges = [range(s, min(n, s + chunk)) for s in range(0, n, chunk)]
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            list(pool.map(work, ranges))
+    # one contiguous chunk of realizations per worker
+    chunk = -(-n // max(n_workers, 1))
+    fan_out(work, [range(s, min(n, s + chunk)) for s in range(0, n, chunk)],
+            n_workers)
     return i1, i2
 
 

@@ -45,8 +45,7 @@ def _sweep_csv(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _histogram_csv(hist: CoincidenceHistogram) -> str:
-    g2 = estimate_g2(hist).g2_curve
+def _histogram_csv(hist: CoincidenceHistogram, g2: np.ndarray) -> str:
     lines = ["delay_s,counts,g2"]
     for t, c, g in zip(hist.bin_centers, hist.counts, g2):
         lines.append(f"{_fmt(t)},{int(c)},{_fmt(g)}")
@@ -164,8 +163,8 @@ def export_results(profiles, report: MetricsReport, out_dir) -> list:
              _svg_plot(main.x2, main.delta_g2, "x2 [m]", "delta g2"))
 
     for hist in histograms:
-        emit("histogram.csv", _histogram_csv(hist))
         g2 = estimate_g2(hist).g2_curve
+        emit("histogram.csv", _histogram_csv(hist, g2))
         emit("profile.svg",
              _svg_plot(hist.bin_centers, g2, "delay [s]", "g2"))
 

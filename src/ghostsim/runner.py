@@ -13,7 +13,6 @@ for any worker count.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -29,7 +28,8 @@ from .coincidence import (
     start_stop_histogram,
     thin_photons,
 )
-from .ensemble import CorrelationProfile, EnsembleConfig, delta_g2_montecarlo
+from .ensemble import (CorrelationProfile, EnsembleConfig,
+                       delta_g2_montecarlo, fan_out)
 from .errors import GhostSimError, InvalidArgumentError, NotMeasurableError
 from .grid import TransverseGrid, make_grid
 from .scenario import ScenarioConfig
@@ -290,12 +290,7 @@ def _run_sweep(cfg: ScenarioConfig, workers: int):
         row.metadata.update(role="sweep", z1=cfg.z1, z2=z2, row=index)
         return row
 
-    n = len(z2_values)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            profiles = list(pool.map(one_row, range(n)))
-    else:
-        profiles = [one_row(i) for i in range(n)]
+    profiles = fan_out(one_row, range(len(z2_values)), workers)
     focus = int(np.argmin(np.abs(z2_values - cfg.z1)))
     profiles[focus].metadata["is_focus_row"] = True
     return profiles
@@ -321,12 +316,7 @@ def _run_hbt(cfg: ScenarioConfig, workers: int):
         return start_stop_histogram(starts, stops, cfg.hbt_bin_width,
                                     cfg.hbt_window)
 
-    n = cfg.hbt_batches
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            batches = list(pool.map(one_batch, range(n)))
-    else:
-        batches = [one_batch(b) for b in range(n)]
+    batches = fan_out(one_batch, range(cfg.hbt_batches), workers)
     total = batches[0]
     for h in batches[1:]:
         total = total.add(h)

@@ -261,9 +261,9 @@ def parse_scenario(text: str) -> ScenarioConfig:
     values.setdefault("output", "ghostsim-out")
     values.setdefault("wavelength", 6.93e-7)
     _positive(values, lines, ("wavelength",))
-    if values["seed"] < 0:
-        raise ConfigError("must be non-negative", key="seed",
-                          line=lines.get("seed"))
+    if not 0 <= values["seed"] < 2**64:
+        raise ConfigError("must be an unsigned 64-bit integer (0 <= seed < 2^64)",
+                          key="seed", line=lines.get("seed"))
 
     if kind == "hbt":
         _resolve_hbt(values, lines)

@@ -142,3 +142,38 @@ def test_defocus_blurs_and_weakens_the_image():
         return np.sum(w * (p.x2 - mu) ** 2)
 
     assert second_moment(defocus) > second_moment(focus)
+
+
+SMALL_SWEEP = """\
+kind = z2_sweep
+method = analytic
+seed = 777
+output = sweep-out
+wavelength = 693 nm
+source_radius = 2 mm
+z1 = 30 cm
+z2_min = 27 cm
+z2_max = 33 cm
+z2_steps = 4
+mask = double_slit
+mask_slit_width = 150 um
+mask_separation = 350 um
+detector_span = 1 mm
+detector_points = 41
+object_span = 0.8 mm
+object_points = 96
+"""
+
+
+def test_sweep_rows_identical_at_any_worker_count():
+    cfg = gs.parse_scenario(SMALL_SWEEP)
+    results = []
+    for workers in (1, 3):
+        profiles, _ = gs.run_scenario(cfg, workers=workers)
+        results.append(gs.sweep_matrix(profiles))
+        assert [p.metadata.get("is_focus_row", False) for p in profiles] == [
+            False, True, False, False]
+    (z_a, x_a, m_a), (z_b, x_b, m_b) = results
+    assert m_a.shape == (4, 41)
+    assert np.array_equal(z_a, z_b) and np.array_equal(x_a, x_b)
+    assert np.array_equal(m_a, m_b)

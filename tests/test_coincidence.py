@@ -327,6 +327,10 @@ def test_estimate_on_exact_thermal_histogram():
     est = gs.estimate_g2(h)
     assert est.g2_zero == pytest.approx(1.997996, abs=1e-4)
     assert est.contrast == pytest.approx(est.g2_zero - 1.0, abs=1e-12)
+    # the Lagrange weights give the parabola through the three earliest
+    # bins at t = 0, up to rounding
+    parabola = np.polyfit(centers[:3], est.g2_curve[:3], 2)
+    assert est.g2_zero == pytest.approx(parabola[2], rel=1e-12)
     assert gs.estimate_coherence_time(h) == pytest.approx(tau, rel=0.01)
     # far tail normalizes to one
     assert np.allclose(est.g2_curve[-50:], 1.0, atol=1e-3)

@@ -1,5 +1,7 @@
 """Speckle ensemble statistics and the Monte Carlo correlation estimator."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from ghostsim import (
     GridMismatchError,
     InvalidArgumentError,
 )
+from ghostsim.ensemble import fan_out
 
 
 def test_draw_moments_match_gaussian_statistics():
@@ -261,3 +264,16 @@ def test_aperture_averages_neighbourhood(small_rig):
         x0 = rig.detector_grid.x[j]
         lo, hi = fg.index_range(x0 - 0.1e-3, x0 + 0.1e-3)
         assert rec.i2[j] == pytest.approx(fine.i2[lo:hi].mean(), rel=1e-9)
+
+
+@pytest.mark.parametrize("workers", [0, 1, 3])
+def test_fan_out_keeps_item_order(workers):
+    threads = set()
+
+    def square(i):
+        threads.add(threading.get_ident())
+        return i * i
+
+    assert fan_out(square, range(7), workers) == [i * i for i in range(7)]
+    if workers <= 1:
+        assert threads == {threading.get_ident()}

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import ghostsim as gs
-from ghostsim import InvalidArgumentError, UnsupportedProfileError
+from ghostsim import InvalidArgumentError, UnsupportedProfileError, coherence
 
 LAM = 692.9e-9
 A = 0.835e-3
@@ -115,3 +115,38 @@ def test_gaussian_source_narrows_kernel():
     peak_full = abs(gs.mutual_coherence_kernel(0.0, 0.0, SRC, GEOM_EQ))
     peak_half = abs(gs.mutual_coherence_kernel(0.0, 0.0, src_half, GEOM_EQ))
     assert k_half / peak_half > k_full / peak_full
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda: gs.mutual_coherence_kernel(0.1e-3, -0.2e-3, SRC, GEOM_EQ),
+        lambda: gs.coherence_kernel_map(
+            np.array([0.0, 0.1e-3]), gs.make_grid(-0.5e-3, 0.5e-3, 9), SRC, GEOM_EQ,
+            rtol=0.0,
+        ),
+    ],
+    ids=["pointwise", "map"],
+)
+def test_unconverged_quadrature_raises(monkeypatch, entry):
+    # one halving with a zero tolerance cannot converge; the last iterate
+    # must not come back as if it had
+    monkeypatch.setattr(coherence, "_MAX_DOUBLINGS", 1)
+    monkeypatch.setattr(coherence, "_REL_TOL", 0.0)
+    with pytest.raises(InvalidArgumentError, match="did not converge"):
+        entry()
+
+
+def test_quadrature_refinement_stops_at_point_cap(monkeypatch):
+    # the equal-arm diagonal starts at the 65-point floor; a cap there leaves
+    # no room for a halving, which must raise rather than pass the cap
+    sizes = []
+    fixed = coherence._kernel_fixed
+    monkeypatch.setattr(coherence, "_MAX_POINTS", 65)
+    monkeypatch.setattr(
+        coherence, "_kernel_fixed",
+        lambda *args: sizes.append(args[-1]) or fixed(*args),
+    )
+    with pytest.raises(InvalidArgumentError, match="did not converge"):
+        gs.mutual_coherence_kernel(0.0, 0.0, SRC, GEOM_EQ)
+    assert sizes == [65]

@@ -6,6 +6,7 @@ import pytest
 
 import ghostsim as gs
 from ghostsim import ConfigError
+from ghostsim import cli
 from ghostsim.cli import preset_names, preset_text
 
 
@@ -96,6 +97,28 @@ def test_duplicate_key_rejected(tiny_scenario_text):
     text = tiny_scenario_text + "seed = 3\n"
     with pytest.raises(ConfigError, match="duplicate"):
         gs.parse_scenario(text)
+
+
+def test_seed_must_fit_in_64_bits(tiny_scenario_text):
+    top = tiny_scenario_text.replace("seed = 777", f"seed = {2**64 - 1}")
+    assert gs.parse_scenario(top).seed == 2**64 - 1
+    for bad in (2**64, -1):
+        text = tiny_scenario_text.replace("seed = 777", f"seed = {bad}")
+        with pytest.raises(ConfigError) as exc:
+            gs.parse_scenario(text)
+        assert "key 'seed'" in str(exc.value)
+        assert "line 3" in str(exc.value)
+
+
+def test_seed_override_out_of_range_is_config_error(tmp_path, capsys,
+                                                    tiny_scenario_text):
+    scen = tmp_path / "tiny.scenario"
+    scen.write_text(tiny_scenario_text)
+    code = cli.main(["run", str(scen), "--seed", str(2**64),
+                     "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "seed" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_malformed_line_rejected():
