@@ -16,7 +16,14 @@ Two execution paths compute the same finite sum:
 * ``method="fast"``    chirp factoring
   exp(i*pi*(x-y)^2/(lz)) = exp(i*pi*x^2/lz) * exp(i*pi*y^2/lz) * exp(-2i*pi*x*y/lz)
   which turns the sum into a chirp-z transform between the two grids
-  (Bluestein, O((N+M) log(N+M)) via scipy.signal.czt).
+  (Bluestein, O((N+M) log(N+M)) via scipy.signal.CZT).
+
+Building a Bluestein plan costs about ten times more than applying it, so the
+fast path keeps the plans of the last four (input grid, output grid,
+lambda*z, sign) keys: the pre-chirp phase, the CZT object and the
+post-chirp. The bound keeps memory flat while still holding every plan in
+flight (one per sweep worker and refinement pass, two per Monte Carlo
+run). Threads share the plans, since applying a CZT only reads it.
 
 Both refuse to run when either grid undersamples the chirp:
 dx > lambda*z / (2*span) with span the extent of the union of the two
@@ -26,10 +33,11 @@ windows is an aliasing error, never a warning.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Union
 
 import numpy as np
-from scipy.signal import czt
+from scipy.signal import CZT
 
 from .errors import (
     GridMismatchError,
@@ -282,14 +290,12 @@ def chirp_kernel_sum(
     v = np.asarray(values, dtype=np.complex128)
     if v.shape != (in_grid.n_points,):
         raise GridMismatchError("values do not match the input grid")
-    gamma = 1.0 / lambda_z
-    x0, dx = in_grid.x_min, in_grid.dx
-    y0, dy = out_grid.x_min, out_grid.dx
-    m = out_grid.n_points
 
     if method == "direct":
+        gamma = 1.0 / lambda_z
         y = out_grid.x
         x = in_grid.x
+        m = out_grid.n_points
         out = np.empty(m, dtype=np.complex128)
         # block over outputs to keep the kernel matrix small
         block = max(1, int(4_000_000 // max(1, x.size)))
@@ -302,14 +308,27 @@ def chirp_kernel_sum(
     if method != "fast":
         raise InvalidArgumentError(f"unknown propagation method '{method}'")
 
-    s = float(sign)
-    u = v * np.exp((s * 1j * np.pi * gamma) * in_grid.x**2)
-    w = np.exp(-s * 2j * np.pi * gamma * dx * dy)
-    a = np.exp(s * 2j * np.pi * gamma * dx * y0)
-    spectrum = czt(u, m, w, a)
-    y = out_grid.x
-    post = np.exp((s * 1j * np.pi * gamma) * y**2 - (s * 2j * np.pi * gamma * x0) * y)
+    phase, plan, post = _chirp_plan(in_grid, out_grid, lambda_z, sign)
+    # exp(phase) stays inline: numpy multiplies a large temporary in place
+    # with the operands swapped, and the bits depend on that order
+    u = v * np.exp(phase)
+    spectrum = plan(u)
     return post * spectrum
+
+
+@lru_cache(maxsize=4)
+def _chirp_plan(
+    in_grid: TransverseGrid, out_grid: TransverseGrid, lambda_z: float, sign: int
+) -> tuple[np.ndarray, CZT, np.ndarray]:
+    """Pre-chirp phase, Bluestein plan and post-chirp of one fast chirp sum."""
+    s, gamma = float(sign), 1.0 / lambda_z
+    phase = (s * 1j * np.pi * gamma) * in_grid.x**2
+    w = np.exp(-s * 2j * np.pi * gamma * in_grid.dx * out_grid.dx)
+    a = np.exp(s * 2j * np.pi * gamma * in_grid.dx * out_grid.x_min)
+    y = out_grid.x
+    post = np.exp((s * 1j * np.pi * gamma) * y**2
+                  - (s * 2j * np.pi * gamma * in_grid.x_min) * y)
+    return phase, CZT(in_grid.n_points, out_grid.n_points, w, a), post
 
 
 def fresnel_propagate(

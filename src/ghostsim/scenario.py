@@ -9,6 +9,7 @@ apply to the declared kind, and malformed or mis-suffixed values all raise
 ConfigError naming the offending line and key. Lengths accept m, cm, mm,
 um (or µm), nm, pm; times accept s, ms, us (or µs), ns, ps, fs; bare
 numbers are base SI. Counts and rates are plain numbers.
+n_realizations may not exceed 65536 (2^16).
 
 parse_scenario returns a fully resolved ScenarioConfig (defaults filled);
 dump_scenario emits the canonical form, and parse(dump(cfg)) == cfg.
@@ -44,6 +45,11 @@ _NUMBER_RE = re.compile(
 )
 
 _SPATIAL = ("focused_image", "z2_sweep")
+
+# Ceiling on n_realizations: the Monte Carlo estimator holds an
+# n_realizations x detector-points matrix of float64 intensities, 26 MB at
+# this ceiling and the fig2 preset's 49 detector points.
+_MAX_REALIZATIONS = 1 << 16
 
 # key -> (value type, kinds the key applies to)
 _KEY_TABLE = {
@@ -276,8 +282,10 @@ def parse_scenario(text: str) -> ScenarioConfig:
 def _resolve_spatial(kind: str, values: dict, lines: dict) -> None:
     if values["method"] != "analytic":
         values.setdefault("n_realizations", 4096)
-        if values["n_realizations"] < 2:
-            raise ConfigError("need at least 2 realizations",
+        if not 2 <= values["n_realizations"] <= _MAX_REALIZATIONS:
+            raise ConfigError(f"must lie in [2, {_MAX_REALIZATIONS}]: the "
+                              "Monte Carlo estimator keeps one detector row "
+                              "per realization in memory",
                               key="n_realizations",
                               line=lines.get("n_realizations"))
     _require(values, lines, ("source_radius", "z1", "mask"), f"kind {kind}")

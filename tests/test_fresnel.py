@@ -1,10 +1,13 @@
 """Fresnel propagator: conservation, dual route, beam optics, sampling guard."""
 
+import threading
+
 import numpy as np
 import pytest
+from scipy.signal import czt
 
 import ghostsim as gs
-from ghostsim import InvalidArgumentError, SamplingCriterionError
+from ghostsim import InvalidArgumentError, SamplingCriterionError, optics
 
 LAM = 693e-9
 
@@ -132,3 +135,75 @@ def test_unknown_method_rejected():
     f = gaussian_field(gin, 0.3e-3)
     with pytest.raises(InvalidArgumentError):
         gs.fresnel_propagate(f, 0.3, LAM, gin, method="spectral")
+
+
+# --- cached chirp-z plans ---
+
+
+def per_call_chirp_sum(values, in_grid, out_grid, lambda_z, sign):
+    """The fast chirp sum with a fresh Bluestein plan per call."""
+    s, gamma = float(sign), 1.0 / lambda_z
+    v = np.asarray(values, dtype=np.complex128)
+    u = v * np.exp((s * 1j * np.pi * gamma) * in_grid.x**2)
+    w = np.exp(-s * 2j * np.pi * gamma * in_grid.dx * out_grid.dx)
+    a = np.exp(s * 2j * np.pi * gamma * in_grid.dx * out_grid.x_min)
+    spectrum = czt(u, out_grid.n_points, w, a)
+    y = out_grid.x
+    post = np.exp((s * 1j * np.pi * gamma) * y**2
+                  - (s * 2j * np.pi * gamma * in_grid.x_min) * y)
+    return post * spectrum
+
+
+# numpy multiplies a temporary of at least 256 KiB (16384 complex values)
+# in place, with the operands swapped; both sides of that size are covered
+@pytest.mark.parametrize("n", [16383, 16385])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_cached_plan_matches_per_call_plan_bitwise(n, sign):
+    gin = gs.make_grid(-1.1e-3, 0.9e-3, n)
+    gout = gs.make_grid(-2e-3, 2.5e-3, 777)
+    lambda_z = LAM * 1.7
+    rng = np.random.default_rng(n)
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    ref = per_call_chirp_sum(v, gin, gout, lambda_z, sign)
+    optics._chirp_plan.cache_clear()
+    cold = optics.chirp_kernel_sum(v, gin, gout, lambda_z, sign)
+    cached = optics.chirp_kernel_sum(v, gin, gout, lambda_z, sign)
+    info = optics._chirp_plan.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert np.array_equal(cold, ref)
+    assert np.array_equal(cached, ref)
+
+
+def test_threads_share_one_plan():
+    gin = gs.make_grid(-1e-3, 1e-3, 4099)
+    gout = gs.make_grid(-2e-3, 2e-3, 1500)
+    rng = np.random.default_rng(3)
+    v = rng.standard_normal(gin.n_points) + 1j * rng.standard_normal(gin.n_points)
+    ref = optics.chirp_kernel_sum(v, gin, gout, LAM * 0.3, -1)
+    start = threading.Barrier(2)
+    results = [[], []]
+
+    def apply(out):
+        start.wait()
+        for _ in range(30):
+            out.append(optics.chirp_kernel_sum(v, gin, gout, LAM * 0.3, -1))
+
+    threads = [threading.Thread(target=apply, args=(r,)) for r in results]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert all(len(r) == 30 for r in results)
+    assert all(np.array_equal(out, ref) for r in results for out in r)
+
+
+def test_plan_cache_stays_bounded():
+    size = optics._chirp_plan.cache_info().maxsize
+    assert size is not None
+    v = np.ones(64, dtype=complex)
+    gout = gs.make_grid(-1e-3, 1e-3, 64)
+    for k in range(2 * size + 1):
+        gin = gs.make_grid(-1e-3, 1e-3 + k * 1e-6, 64)
+        optics.chirp_kernel_sum(v, gin, gout, LAM * 0.3)
+        assert optics._chirp_plan.cache_info().currsize <= size
+    assert optics._chirp_plan.cache_info().currsize == size

@@ -12,6 +12,8 @@ from pathlib import Path
 
 import pytest
 
+import ghostsim as gs
+
 CHILD = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
 
 
@@ -27,3 +29,46 @@ def test_traced_hook_resolves_to_a_callable(module, attr):
     fn = getattr(importlib.import_module(f"ghostsim.{module}"), attr)
     assert callable(fn)
     inspect.signature(fn)  # the tracer reads argument names from it
+
+
+TINY_SWEEP = """\
+kind = z2_sweep
+method = analytic
+wavelength = 693 nm
+source_radius = 2 mm
+z1 = 30 cm
+z2_min = 28 cm
+z2_max = 32 cm
+z2_steps = 2
+mask = double_slit
+mask_slit_width = 150 um
+mask_separation = 350 um
+detector_span = 1 mm
+detector_points = 21
+object_span = 0.8 mm
+object_points = 64
+"""
+
+
+def test_optics_hooks_see_the_calls(monkeypatch, tiny_scenario_text):
+    # the optics spans come from these two import sites; a caller that
+    # bound the transform some other way would leave them empty
+    traced = {(module, attr) for module, attr, name, _ in _traced_table()
+              if name.startswith("optics.")}
+    assert traced == {("coherence", "chirp_kernel_sum"),
+                      ("ensemble", "fresnel_propagate")}
+    calls = dict.fromkeys(traced, 0)
+    for key in traced:
+        module = importlib.import_module(f"ghostsim.{key[0]}")
+        fn = getattr(module, key[1])
+
+        def counted(*args, _fn=fn, _key=key, **kwargs):
+            calls[_key] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, key[1], counted)
+    gs.run_scenario(gs.parse_scenario(TINY_SWEEP), workers=2)
+    assert calls[("coherence", "chirp_kernel_sum")] > 0
+    mc = tiny_scenario_text.replace("n_realizations = 384", "n_realizations = 4")
+    gs.run_scenario(gs.parse_scenario(mc), workers=2)
+    assert calls[("ensemble", "fresnel_propagate")] > 0

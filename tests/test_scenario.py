@@ -6,7 +6,7 @@ import pytest
 
 import ghostsim as gs
 from ghostsim import ConfigError
-from ghostsim import cli
+from ghostsim import cli, scenario
 from ghostsim.cli import preset_names, preset_text
 
 
@@ -119,6 +119,28 @@ def test_seed_override_out_of_range_is_config_error(tmp_path, capsys,
     assert code == 2
     assert "seed" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_realization_count_has_a_ceiling(tmp_path, capsys, tiny_scenario_text):
+    top = scenario._MAX_REALIZATIONS
+    ok = tiny_scenario_text.replace("n_realizations = 384",
+                                    f"n_realizations = {top}")
+    assert gs.parse_scenario(ok).n_realizations == top
+    for bad in (top + 1, 100_000_000):
+        text = tiny_scenario_text.replace("n_realizations = 384",
+                                          f"n_realizations = {bad}")
+        with pytest.raises(ConfigError) as exc:
+            gs.parse_scenario(text)
+        assert "key 'n_realizations'" in str(exc.value)
+        assert "line 13" in str(exc.value)
+    scen = tmp_path / "huge.scenario"
+    scen.write_text(text)
+    assert cli.main(["validate", str(scen)]) == 2
+    err = capsys.readouterr().err
+    assert "n_realizations" in err and "line 13" in err
+    for name in preset_names():
+        scen.write_text(preset_text(name))
+        assert cli.main(["validate", str(scen)]) == 0
 
 
 def test_malformed_line_rejected():
