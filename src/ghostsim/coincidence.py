@@ -198,35 +198,18 @@ def simulate_intensity_trace(
 
 
 def _dead_time_filter(times: np.ndarray, dead_time: float) -> np.ndarray:
-    """Sorted times without the events that come less than dead_time after
-    the last kept one (a non-paralyzable dead time)."""
     if dead_time <= 0 or times.size == 0:
         return times
-    t, n = times, times.size
-    # The last kept event is never later than the previous event, so an
-    # event at least dead_time after its predecessor is always kept.
-    keep = np.ones(n + 1, dtype=bool)  # keep[n] marks the end of the record
-    np.greater_equal(np.diff(t), dead_time, out=keep[1:n])
-    free = keep.copy()
-    # Inside a run of shorter gaps the event kept after event k is jump[k],
-    # the first j with t[j] - t[k] >= dead_time: searchsorted, then settled
-    # on that exact difference.
-    jump = np.arange(1, n + 1)
-    k = np.flatnonzero(~free[1:n])
-    j = np.searchsorted(t, t[k] + dead_time)
-    while np.any(back := (j - 1 > k) & (t[j - 1] - t[k] >= dead_time)):
-        j -= back
-    while np.any(ahead := (j < n) & (t[np.minimum(j, n - 1)] - t[k] < dead_time)):
-        j += ahead
-    jump[k] = j
-    # all runs advance together, one kept event per step, until each
-    # reaches the free event that ends it
-    step = np.flatnonzero(free[: n - 1] & ~free[1:n])
-    while step.size:
-        step = jump[step]
-        step = step[~free[step]]
-        keep[step] = True
-    return times[keep[:n]]
+    keep = np.empty(times.size, dtype=bool)
+    last = -np.inf
+    t = times  # local alias, tight loop
+    for i in range(t.size):
+        if t[i] - last >= dead_time:
+            keep[i] = True
+            last = t[i]
+        else:
+            keep[i] = False
+    return times[keep]
 
 
 def thin_photons(

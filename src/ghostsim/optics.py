@@ -18,12 +18,13 @@ Two execution paths compute the same finite sum:
   which turns the sum into a chirp-z transform between the two grids
   (Bluestein, O((N+M) log(N+M)) via scipy.signal.CZT).
 
-Building a Bluestein plan costs about ten times more than applying it, so the
-fast path keeps the plans of the last four (input grid, output grid,
+Building a Bluestein plan costs about ten times more than applying it, so
+each thread keeps the plans of its last two (input grid, output grid,
 lambda*z, sign) keys: the pre-chirp phase, the CZT object and the
-post-chirp. The bound keeps memory flat while still holding every plan in
-flight (one per sweep worker and refinement pass, two per Monte Carlo
-run). Threads share the plans, since applying a CZT only reads it.
+post-chirp. A thread has at most two plans in flight (one per refinement
+pass of a kernel map, one per leg of a Monte Carlo realization), so the
+bound grows with the number of workers and worker threads never evict each
+other's plans; a worker's plans go when its thread ends.
 
 Both refuse to run when either grid undersamples the chirp:
 dx > lambda*z / (2*span) with span the extent of the union of the two
@@ -32,6 +33,7 @@ windows is an aliasing error, never a warning.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Union
@@ -308,7 +310,7 @@ def chirp_kernel_sum(
     if method != "fast":
         raise InvalidArgumentError(f"unknown propagation method '{method}'")
 
-    phase, plan, post = _chirp_plan(in_grid, out_grid, lambda_z, sign)
+    phase, plan, post = _thread_plans()(in_grid, out_grid, lambda_z, sign)
     # exp(phase) stays inline: numpy multiplies a large temporary in place
     # with the operands swapped, and the bits depend on that order
     u = v * np.exp(phase)
@@ -316,7 +318,18 @@ def chirp_kernel_sum(
     return post * spectrum
 
 
-@lru_cache(maxsize=4)
+_local = threading.local()
+
+
+def _thread_plans():
+    """This thread's bounded cache of _chirp_plan."""
+    try:
+        return _local.plans
+    except AttributeError:
+        _local.plans = lru_cache(maxsize=2)(_chirp_plan)
+        return _local.plans
+
+
 def _chirp_plan(
     in_grid: TransverseGrid, out_grid: TransverseGrid, lambda_z: float, sign: int
 ) -> tuple[np.ndarray, CZT, np.ndarray]:

@@ -1,13 +1,7 @@
-"""Scenario execution: grids, dispatch, and metrics.
+"""Scenario execution: dispatch and metrics.
 
-Auto-sized grids follow two rules: windows cover 4x the mask extent plus
-the coherence-kernel width (and, for sweeps, the geometric defocus spread
-of the source), and every grid spacing satisfies the Fresnel sampling
-criterion with a few percent of margin. Explicit spans/steps/points from
-the scenario override the defaults.
-
-All randomness is keyed by (seed, stream index), so results are identical
-for any worker count.
+Grids come from scenario.spatial_grids. All randomness is keyed by
+(seed, stream index), so results are identical for any worker count.
 """
 
 from __future__ import annotations
@@ -31,13 +25,11 @@ from .coincidence import (
 from .ensemble import (CorrelationProfile, EnsembleConfig,
                        delta_g2_montecarlo, fan_out)
 from .errors import GhostSimError, InvalidArgumentError, NotMeasurableError
-from .grid import TransverseGrid, make_grid
-from .scenario import ScenarioConfig
+from .scenario import ScenarioConfig, SpatialGrids, spatial_grids
 
 __all__ = ["MetricsReport", "run_scenario", "sweep_matrix", "profile_metrics"]
 
 _GOLDEN = 0x9E3779B97F4A7C15
-_MAX_POINTS = 1 << 20
 
 
 def _substream(seed: int, index: int) -> int:
@@ -132,95 +124,7 @@ def _fwhm(x: np.ndarray, d: np.ndarray, i: int) -> Optional[float]:
     return float(right - left)
 
 
-@dataclass(frozen=True)
-class _Grids:
-    source: TransverseGrid
-    object: TransverseGrid
-    detector: TransverseGrid
-    detector_field: Optional[TransverseGrid]
-    bucket: tuple
-
-
-def _points(span: float, dx: float, minimum: int = 16) -> int:
-    n = max(minimum, int(np.ceil(span / dx)) + 1)
-    if n > _MAX_POINTS:
-        raise InvalidArgumentError(
-            f"auto-sized grid needs {n} points (> {_MAX_POINTS}); "
-            "the geometry is too demanding for this configuration"
-        )
-    return n
-
-
-def _spatial_grids(cfg: ScenarioConfig, z2_values) -> _Grids:
-    source = cfg.source()
-    lam = cfg.wavelength
-    z1 = cfg.z1
-    a = source.effective_half_width()
-    lo, hi = source.profile.support()
-    span_src = hi - lo
-    extent = cfg.mask_extent()
-    kernel_w = lam * z1 / (2.0 * a)
-    z_lo, z_hi = min(z2_values), max(z2_values)
-    defocus = 2.0 * a * max(abs(z / z1 - 1.0) for z in z2_values)
-
-    obj_half = (0.5 * cfg.object_span if cfg.object_span
-                else 2.0 * extent + 3.0 * kernel_w)
-    aperture = cfg.detector_aperture or 0.0
-    if cfg.detector_span:
-        det_half = 0.5 * cfg.detector_span
-    else:
-        det_half = (2.0 * extent * max(1.0, z_hi / z1)
-                    + 3.0 * kernel_w + aperture + defocus)
-
-    span_obj = 2.0 * obj_half
-    span_det = 2.0 * det_half
-    span_field = span_det + aperture
-    # Fresnel sampling bounds, with margin, for both propagation legs;
-    # the source span enters both unions because the analytic kernel
-    # integrates over the source plane directly.
-    union1 = max(span_src, span_obj)
-    union2 = max(span_src, span_obj, span_field)
-    bound1 = 0.98 * lam * z1 / (2.0 * union1)
-    bound2 = 0.98 * lam * z_lo / (2.0 * union2)
-
-    feature = min(v for v in (cfg.mask_diameter_1, cfg.mask_diameter_2,
-                              cfg.mask_slit_width, cfg.mask_half_width,
-                              extent) if v)
-    # pure-analytic runs integrate a smooth |K|^2 over the mask and get by
-    # with half the node density the Monte Carlo speckle statistics need
-    kernel_frac = 4.0 if cfg.method == "analytic" else 8.0
-    dx_obj = min(bound1, bound2, kernel_w / kernel_frac, feature / 8.0)
-    n_obj = cfg.object_points or _points(span_obj, dx_obj, minimum=64)
-    object_grid = make_grid(-obj_half, obj_half, n_obj)
-
-    n_src = _points(span_src, bound1, minimum=64)
-    source_grid = make_grid(lo, hi, n_src)
-
-    if cfg.detector_step:
-        m = int(np.floor(det_half / cfg.detector_step + 1e-9))
-        detector = make_grid(-m * cfg.detector_step, m * cfg.detector_step,
-                             2 * m + 1)
-    elif cfg.detector_points:
-        detector = make_grid(-det_half, det_half, cfg.detector_points)
-    else:
-        dx_det = min(bound2, kernel_w / 6.0)
-        detector = make_grid(-det_half, det_half, _points(span_det, dx_det))
-
-    detector_field = None
-    if aperture > 0:
-        dx_f = min(bound2, kernel_w / 8.0, aperture / 8.0)
-        f_half = det_half + 0.5 * aperture + 2.0 * dx_f
-        detector_field = make_grid(-f_half, f_half,
-                                   _points(2.0 * f_half, dx_f))
-
-    if cfg.bucket_half_width:
-        bucket = (-cfg.bucket_half_width, cfg.bucket_half_width)
-    else:
-        bucket = (object_grid.x_min, object_grid.x_max)
-    return _Grids(source_grid, object_grid, detector, detector_field, bucket)
-
-
-def _ensemble_config(cfg: ScenarioConfig, grids: _Grids, seed: int) -> EnsembleConfig:
+def _ensemble_config(cfg: ScenarioConfig, grids: SpatialGrids, seed: int) -> EnsembleConfig:
     return EnsembleConfig(
         n_realizations=cfg.n_realizations,
         master_seed=seed,
@@ -241,7 +145,7 @@ def _annotate(exc: GhostSimError, kind: str) -> GhostSimError:
 
 
 def _run_focused(cfg: ScenarioConfig, workers: int):
-    grids = _spatial_grids(cfg, [cfg.z2])
+    grids = spatial_grids(cfg, cfg.z2_values())
     source = cfg.source()
     geom = cfg.geometry()
     mask = cfg.build_mask(grids.object)
@@ -270,8 +174,8 @@ def _run_focused(cfg: ScenarioConfig, workers: int):
 
 
 def _run_sweep(cfg: ScenarioConfig, workers: int):
-    z2_values = np.linspace(cfg.z2_min, cfg.z2_max, cfg.z2_steps)
-    grids = _spatial_grids(cfg, z2_values)
+    z2_values = cfg.z2_values()
+    grids = spatial_grids(cfg, z2_values)
     source = cfg.source()
     mask = cfg.build_mask(grids.object)
 

@@ -9,7 +9,15 @@ apply to the declared kind, and malformed or mis-suffixed values all raise
 ConfigError naming the offending line and key. Lengths accept m, cm, mm,
 um (or µm), nm, pm; times accept s, ms, us (or µs), ns, ps, fs; bare
 numbers are base SI. Counts and rates are plain numbers.
-n_realizations may not exceed 65536 (2^16).
+
+Auto-sized grids (spatial_grids) follow two rules: windows cover 4x the
+mask extent plus the coherence-kernel width (and, for sweeps, the
+geometric defocus spread of the source), and every grid spacing satisfies
+the Fresnel sampling criterion with a few percent of margin. Explicit
+spans/steps/points from the scenario override the defaults. A Monte Carlo
+run holds an n_realizations x detector-points matrix of float64
+intensities (one per sweep row in flight); a scenario whose matrix would
+exceed 1 GiB is rejected.
 
 parse_scenario returns a fully resolved ScenarioConfig (defaults filled);
 dump_scenario emits the canonical form, and parse(dump(cfg)) == cfg.
@@ -21,7 +29,10 @@ import re
 from dataclasses import dataclass, fields
 from typing import Optional
 
-from .errors import ConfigError
+import numpy as np
+
+from .errors import ConfigError, GhostSimError, InvalidArgumentError
+from .grid import TransverseGrid, make_grid
 from .optics import (
     GaussianProfile,
     OpticalGeometry,
@@ -46,10 +57,9 @@ _NUMBER_RE = re.compile(
 
 _SPATIAL = ("focused_image", "z2_sweep")
 
-# Ceiling on n_realizations: the Monte Carlo estimator holds an
-# n_realizations x detector-points matrix of float64 intensities, 26 MB at
-# this ceiling and the fig2 preset's 49 detector points.
-_MAX_REALIZATIONS = 1 << 16
+_MAX_POINTS = 1 << 20
+# bytes of one Monte Carlo record matrix (n_realizations x detector points)
+_RECORD_BUDGET = 1 << 30
 
 # key -> (value type, kinds the key applies to)
 _KEY_TABLE = {
@@ -155,6 +165,12 @@ class ScenarioConfig:
         return SourceSpec(self.wavelength, profile,
                           coherence_time=self.coherence_time or 0.0)
 
+    def z2_values(self):
+        """Detector distances: the one z2, or the sweep's z2_steps points."""
+        if self.kind == "z2_sweep":
+            return np.linspace(self.z2_min, self.z2_max, self.z2_steps)
+        return [self.z2]
+
     def geometry(self, z2: Optional[float] = None) -> OpticalGeometry:
         return OpticalGeometry(self.z1, self.z2 if z2 is None else z2)
 
@@ -178,6 +194,96 @@ class ScenarioConfig:
         if self.mask == "double_slit":
             return self.mask_separation + self.mask_slit_width
         return 2.0 * self.mask_half_width
+
+
+@dataclass(frozen=True)
+class SpatialGrids:
+    source: TransverseGrid
+    object: TransverseGrid
+    detector: TransverseGrid
+    detector_field: Optional[TransverseGrid]
+    bucket: tuple
+
+
+def _points(span: float, dx: float, minimum: int = 16) -> int:
+    n = max(minimum, int(np.ceil(span / dx)) + 1)
+    if n > _MAX_POINTS:
+        raise InvalidArgumentError(
+            f"auto-sized grid needs {n} points (> {_MAX_POINTS}); "
+            "the geometry is too demanding for this configuration"
+        )
+    return n
+
+
+def spatial_grids(cfg: ScenarioConfig, z2_values) -> SpatialGrids:
+    """Source, object and detector grids for a spatial scenario whose
+    detector sits at each distance in z2_values."""
+    source = cfg.source()
+    lam = cfg.wavelength
+    z1 = cfg.z1
+    a = source.effective_half_width()
+    lo, hi = source.profile.support()
+    span_src = hi - lo
+    extent = cfg.mask_extent()
+    kernel_w = lam * z1 / (2.0 * a)
+    z_lo, z_hi = min(z2_values), max(z2_values)
+    defocus = 2.0 * a * max(abs(z / z1 - 1.0) for z in z2_values)
+
+    obj_half = (0.5 * cfg.object_span if cfg.object_span
+                else 2.0 * extent + 3.0 * kernel_w)
+    aperture = cfg.detector_aperture or 0.0
+    if cfg.detector_span:
+        det_half = 0.5 * cfg.detector_span
+    else:
+        det_half = (2.0 * extent * max(1.0, z_hi / z1)
+                    + 3.0 * kernel_w + aperture + defocus)
+
+    span_obj = 2.0 * obj_half
+    span_det = 2.0 * det_half
+    span_field = span_det + aperture
+    # Fresnel sampling bounds, with margin, for both propagation legs;
+    # the source span enters both unions because the analytic kernel
+    # integrates over the source plane directly.
+    union1 = max(span_src, span_obj)
+    union2 = max(span_src, span_obj, span_field)
+    bound1 = 0.98 * lam * z1 / (2.0 * union1)
+    bound2 = 0.98 * lam * z_lo / (2.0 * union2)
+
+    feature = min(v for v in (cfg.mask_diameter_1, cfg.mask_diameter_2,
+                              cfg.mask_slit_width, cfg.mask_half_width,
+                              extent) if v)
+    # pure-analytic runs integrate a smooth |K|^2 over the mask and get by
+    # with half the node density the Monte Carlo speckle statistics need
+    kernel_frac = 4.0 if cfg.method == "analytic" else 8.0
+    dx_obj = min(bound1, bound2, kernel_w / kernel_frac, feature / 8.0)
+    n_obj = cfg.object_points or _points(span_obj, dx_obj, minimum=64)
+    object_grid = make_grid(-obj_half, obj_half, n_obj)
+
+    n_src = _points(span_src, bound1, minimum=64)
+    source_grid = make_grid(lo, hi, n_src)
+
+    if cfg.detector_step:
+        m = int(np.floor(det_half / cfg.detector_step + 1e-9))
+        detector = make_grid(-m * cfg.detector_step, m * cfg.detector_step,
+                             2 * m + 1)
+    elif cfg.detector_points:
+        detector = make_grid(-det_half, det_half, cfg.detector_points)
+    else:
+        dx_det = min(bound2, kernel_w / 6.0)
+        detector = make_grid(-det_half, det_half, _points(span_det, dx_det))
+
+    detector_field = None
+    if aperture > 0:
+        dx_f = min(bound2, kernel_w / 8.0, aperture / 8.0)
+        f_half = det_half + 0.5 * aperture + 2.0 * dx_f
+        detector_field = make_grid(-f_half, f_half,
+                                   _points(2.0 * f_half, dx_f))
+
+    if cfg.bucket_half_width:
+        bucket = (-cfg.bucket_half_width, cfg.bucket_half_width)
+    else:
+        bucket = (object_grid.x_min, object_grid.x_max)
+    return SpatialGrids(source_grid, object_grid, detector, detector_field, bucket)
 
 
 def _parse_number(raw: str, units: Optional[dict], key: str, line: int) -> float:
@@ -276,16 +382,31 @@ def parse_scenario(text: str) -> ScenarioConfig:
     else:
         _resolve_spatial(kind, values, lines)
 
-    return ScenarioConfig(**values)
+    cfg = ScenarioConfig(**values)
+    if kind != "hbt" and cfg.method != "analytic":
+        _check_record_budget(cfg, lines)
+    return cfg
+
+
+def _check_record_budget(cfg: ScenarioConfig, lines: dict) -> None:
+    try:
+        points = spatial_grids(cfg, cfg.z2_values()).detector.n_points
+    except GhostSimError:
+        return  # the run reports the unplannable geometry before allocating
+    size = 8 * cfg.n_realizations * points
+    if size > _RECORD_BUDGET:
+        raise ConfigError(
+            f"{cfg.n_realizations} realizations x {points} detector points "
+            f"need {size / 2**20:.0f} MiB of float64 records, over the "
+            f"{_RECORD_BUDGET >> 20} MiB budget",
+            key="n_realizations", line=lines.get("n_realizations"))
 
 
 def _resolve_spatial(kind: str, values: dict, lines: dict) -> None:
     if values["method"] != "analytic":
         values.setdefault("n_realizations", 4096)
-        if not 2 <= values["n_realizations"] <= _MAX_REALIZATIONS:
-            raise ConfigError(f"must lie in [2, {_MAX_REALIZATIONS}]: the "
-                              "Monte Carlo estimator keeps one detector row "
-                              "per realization in memory",
+        if values["n_realizations"] < 2:
+            raise ConfigError("need at least 2 realizations",
                               key="n_realizations",
                               line=lines.get("n_realizations"))
     _require(values, lines, ("source_radius", "z1", "mask"), f"kind {kind}")

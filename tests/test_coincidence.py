@@ -176,14 +176,10 @@ def whole_array_thinning(trace, dt, det, seed):
     times = (hits + rng.random(hits.size)) * dt
     if det.jitter_sigma > 0:
         times = times + rng.standard_normal(hits.size) * det.jitter_sigma
-    return dead_time_loop(np.sort(times), det.dead_time)
-
-
-def dead_time_loop(times, dead_time):
-    """Non-paralyzable dead time, one event at a time."""
+    times = np.sort(times)
     kept, last = [], -np.inf
     for t in times:
-        if t - last >= dead_time:
+        if t - last >= det.dead_time:
             kept.append(t)
             last = t
     return np.array(kept)
@@ -215,36 +211,6 @@ def test_blocked_draws_match_whole_array_formulas(monkeypatch, request, block, t
         events = gs.thin_photons(trace, dt, det, seed=78)
         assert events.size > 0
         assert np.array_equal(events, whole_array_thinning(trace, dt, det, seed=78))
-
-
-def test_dead_time_filter_matches_event_loop():
-    rng = np.random.default_rng(11)
-    # Poisson-like times, from far below to far above saturation
-    times = np.sort(rng.random(50_000)) * 50_000e-9
-    for dead in (1e-11, 3e-10, 1e-9, 2e-9, 1e-8, 1e-7, 1e-6):
-        ref = dead_time_loop(times, dead)
-        assert np.array_equal(coincidence._dead_time_filter(times, dead), ref)
-    # gaps of exactly the dead time, of zero, and sums of gaps whose
-    # rounding lands a hair on either side of it
-    for dead, offset in ((0.25, 0.0), (0.3e-9, 5e-6), (0.1, 3.7)):
-        gaps = rng.choice([0.0, 0.5 * dead, dead, 1.5 * dead, 2 * dead], 20_000)
-        times = offset + np.cumsum(gaps)
-        ref = dead_time_loop(times, dead)
-        assert 0 < ref.size < times.size
-        assert np.array_equal(coincidence._dead_time_filter(times, dead), ref)
-    # jitter can move an event before zero: here fl(y - x) reaches the
-    # dead time although y < fl(x + dead_time), so searchsorted overshoots
-    x, y, dead = -2.1089158398386116e-11, 8.91084160161388e-12, 3e-11
-    times = np.array([x, x + 0.5 * dead, y])
-    assert y - x >= dead and y < x + dead
-    assert np.array_equal(coincidence._dead_time_filter(times, dead), [x, y])
-    # repeated times at an offset that swallows the dead time: t + dead_time
-    # rounds to t, so searchsorted lands on or before the event itself
-    times = 1e6 + np.array([0, 0, 1, 1, 1, 2]) * 2.0**-32
-    assert np.array_equal(coincidence._dead_time_filter(times, 1e-12),
-                          times[[0, 2, 5]])
-    one = np.array([2.5])
-    assert np.array_equal(coincidence._dead_time_filter(one, 1.0), one)
 
 
 # --- start-stop histogram ---

@@ -165,45 +165,55 @@ def test_cached_plan_matches_per_call_plan_bitwise(n, sign):
     rng = np.random.default_rng(n)
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     ref = per_call_chirp_sum(v, gin, gout, lambda_z, sign)
-    optics._chirp_plan.cache_clear()
+    optics._thread_plans().cache_clear()
     cold = optics.chirp_kernel_sum(v, gin, gout, lambda_z, sign)
     cached = optics.chirp_kernel_sum(v, gin, gout, lambda_z, sign)
-    info = optics._chirp_plan.cache_info()
+    info = optics._thread_plans().cache_info()
     assert (info.misses, info.hits) == (1, 1)
     assert np.array_equal(cold, ref)
     assert np.array_equal(cached, ref)
 
 
-def test_threads_share_one_plan():
+def test_each_worker_keeps_its_plan_among_many():
+    # more workers than one thread's cache holds, each with its own key,
+    # in lockstep: no worker evicts another's plan
     gin = gs.make_grid(-1e-3, 1e-3, 4099)
     gout = gs.make_grid(-2e-3, 2e-3, 1500)
     rng = np.random.default_rng(3)
     v = rng.standard_normal(gin.n_points) + 1j * rng.standard_normal(gin.n_points)
-    ref = optics.chirp_kernel_sum(v, gin, gout, LAM * 0.3, -1)
-    start = threading.Barrier(2)
-    results = [[], []]
+    workers, rounds = 8, 5
+    keys = [LAM * (0.3 + 0.01 * k) for k in range(workers)]
+    refs = [per_call_chirp_sum(v, gin, gout, lz, -1) for lz in keys]
+    step = threading.Barrier(workers, timeout=60)
+    results = [[] for _ in keys]
+    builds = [None] * workers
 
-    def apply(out):
-        start.wait()
-        for _ in range(30):
-            out.append(optics.chirp_kernel_sum(v, gin, gout, LAM * 0.3, -1))
+    def work(k):
+        for _ in range(rounds):
+            step.wait()
+            results[k].append(optics.chirp_kernel_sum(v, gin, gout, keys[k], -1))
+        builds[k] = optics._thread_plans().cache_info().misses
 
-    threads = [threading.Thread(target=apply, args=(r,)) for r in results]
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(workers)]
     for t in threads:
         t.start()
     for t in threads:
-        t.join()
-    assert all(len(r) == 30 for r in results)
-    assert all(np.array_equal(out, ref) for r in results for out in r)
+        t.join(timeout=120)
+    assert not any(t.is_alive() for t in threads)
+    assert builds == [1] * workers
+    for ref, out in zip(refs, results):
+        assert len(out) == rounds
+        assert all(np.array_equal(o, ref) for o in out)
 
 
 def test_plan_cache_stays_bounded():
-    size = optics._chirp_plan.cache_info().maxsize
+    plans = optics._thread_plans()
+    size = plans.cache_info().maxsize
     assert size is not None
     v = np.ones(64, dtype=complex)
     gout = gs.make_grid(-1e-3, 1e-3, 64)
     for k in range(2 * size + 1):
         gin = gs.make_grid(-1e-3, 1e-3 + k * 1e-6, 64)
         optics.chirp_kernel_sum(v, gin, gout, LAM * 0.3)
-        assert optics._chirp_plan.cache_info().currsize <= size
-    assert optics._chirp_plan.cache_info().currsize == size
+        assert plans.cache_info().currsize <= size
+    assert plans.cache_info().currsize == size

@@ -121,20 +121,33 @@ def test_seed_override_out_of_range_is_config_error(tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
-def test_realization_count_has_a_ceiling(tmp_path, capsys, tiny_scenario_text):
-    top = scenario._MAX_REALIZATIONS
-    ok = tiny_scenario_text.replace("n_realizations = 384",
-                                    f"n_realizations = {top}")
-    assert gs.parse_scenario(ok).n_realizations == top
-    for bad in (top + 1, 100_000_000):
-        text = tiny_scenario_text.replace("n_realizations = 384",
-                                          f"n_realizations = {bad}")
+def test_record_matrix_has_a_byte_budget(tmp_path, capsys, tiny_scenario_text):
+    cfg = gs.parse_scenario(tiny_scenario_text)
+    points = scenario.spatial_grids(cfg, cfg.z2_values()).detector.n_points
+    assert points == 41
+    # many realizations on few detector points, and few on many: the budget
+    # is on n_realizations x detector points x 8 B
+    top = scenario._RECORD_BUDGET // (8 * points)
+    big_detector = tiny_scenario_text.replace("detector_step = 25 um",
+                                              "detector_points = {}")
+    ok = (tiny_scenario_text.replace("= 384", f"= {top}"),
+          big_detector.format(scenario._RECORD_BUDGET // (8 * 384)))
+    bad = (tiny_scenario_text.replace("= 384", f"= {top + 1}"),
+           tiny_scenario_text.replace("= 384", "= 100000000"),
+           big_detector.format(scenario._RECORD_BUDGET // (8 * 384) + 1),
+           big_detector.replace("= 384", "= 2").format(1 << 29))
+    for text in ok:
+        gs.parse_scenario(text)
+    for text in bad:
         with pytest.raises(ConfigError) as exc:
             gs.parse_scenario(text)
         assert "key 'n_realizations'" in str(exc.value)
         assert "line 13" in str(exc.value)
+    # the lower bound still holds
+    with pytest.raises(ConfigError, match="at least 2"):
+        gs.parse_scenario(tiny_scenario_text.replace("= 384", "= 1"))
     scen = tmp_path / "huge.scenario"
-    scen.write_text(text)
+    scen.write_text(bad[1])
     assert cli.main(["validate", str(scen)]) == 2
     err = capsys.readouterr().err
     assert "n_realizations" in err and "line 13" in err
