@@ -22,7 +22,7 @@ from pathlib import Path
 from .errors import ConfigError, GhostSimError
 from .runner import run_scenario
 from .output import export_results
-from .scenario import dump_scenario, parse_scenario
+from .scenario import check_montecarlo_sampling, dump_scenario, parse_scenario
 
 __all__ = ["main"]
 
@@ -179,6 +179,7 @@ def _cmd_validate(args) -> int:
         return EXIT_IO
     try:
         cfg = parse_scenario(text)
+        check_montecarlo_sampling(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

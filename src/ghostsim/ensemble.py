@@ -14,6 +14,11 @@ above the background and a one-pass update would lose it to cancellation.
 Determinism contract: the deviates of realization r are a pure function of
 (master_seed, r), generated from a counter-based Philox stream keyed by that
 pair. Worker count and scheduling cannot change any result bit.
+
+Realizations run in blocks, one (B, n) array per Fresnel leg, and each row
+keeps its own stream and the bits it has run alone. B = max(1, 2**14 //
+nfft), nfft the larger Bluestein length of the legs, is 1 (a 1-D row)
+wherever a batched transform would round differently (see optics).
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.random import Generator, Philox
+from scipy.fft import next_fast_len
 
 from .errors import DegenerateStatisticsError, GridMismatchError, InvalidArgumentError
 from .grid import ComplexField, TransverseGrid
@@ -99,7 +105,7 @@ class EnsembleConfig:
 
 @dataclass(frozen=True)
 class IntensityRecord:
-    """Bucket signal and scanned intensity of one realization."""
+    """Bucket signal and scanned intensity of one realization or a block."""
 
     i1: float
     i2: np.ndarray
@@ -139,22 +145,25 @@ def _realization_rng(master_seed: int, realization_index: int) -> Generator:
 def draw_source_realization(
     source: SourceSpec,
     grid: TransverseGrid,
-    realization_index: int,
+    realization_index: int | range,
     master_seed: int,
 ) -> ComplexField:
     """One delta-correlated thermal field: amplitude_i = sqrt(I_s(x_i)) * g_i.
 
     g_i are unit-variance circular complex Gaussians. The sequence for
     (master_seed, realization_index) never depends on how work is scheduled.
+    A range of indices draws a block, one row per realization.
     """
-    if realization_index < 0:
+    block = isinstance(realization_index, range)
+    rows = realization_index if block else [realization_index]
+    if len(rows) == 0 or min(rows) < 0:
         raise InvalidArgumentError("realization_index must be >= 0")
-    rng = _realization_rng(master_seed, realization_index)
-    n = grid.n_points
-    z = rng.standard_normal(2 * n)
-    g = (z[0::2] + 1j * z[1::2]) * np.sqrt(0.5)
+    z = np.empty((len(rows), 2 * grid.n_points))
+    for r, out in zip(rows, z):
+        _realization_rng(master_seed, r).standard_normal(out=out)
+    g = (z[:, 0::2] + 1j * z[:, 1::2]) * np.sqrt(0.5)
     amp = np.sqrt(source.profile.intensity(grid.x)) * g
-    return ComplexField(grid, amp)
+    return ComplexField(grid, amp if block else amp[0])
 
 
 def simulate_realization(
@@ -164,12 +173,13 @@ def simulate_realization(
     cfg: EnsembleConfig,
     wavelength: float,
 ) -> IntensityRecord:
-    """Propagate one source realization through both arms."""
+    """Propagate one source realization, or a block of them along the
+    field's leading axis, through both arms."""
     f1 = fresnel_propagate(source_field, geom.z1, wavelength, cfg.object_grid)
     f1 = apply_mask(f1, mask)
     i0, i1_ = cfg.object_grid.index_range(*cfg.bucket_window)
-    a = f1.amplitude[i0:i1_]
-    bucket = float(np.sum(a.real**2 + a.imag**2) * cfg.object_grid.dx)
+    a = f1.amplitude[..., i0:i1_]
+    bucket = np.sum(a.real**2 + a.imag**2, axis=-1) * cfg.object_grid.dx
 
     if cfg.detector_aperture == 0.0:
         f2 = fresnel_propagate(source_field, geom.z2, wavelength, cfg.detector_grid)
@@ -180,7 +190,7 @@ def simulate_realization(
         f2 = fresnel_propagate(source_field, geom.z2, wavelength, fg)
         a2 = f2.amplitude
         intensity = a2.real**2 + a2.imag**2
-        csum = np.concatenate(([0.0], np.cumsum(intensity)))
+        csum = np.cumsum(np.insert(intensity, 0, 0.0, axis=-1), axis=-1)
         half = 0.5 * cfg.detector_aperture
         x2 = cfg.detector_grid.x
         lo = np.searchsorted(fg.x, x2 - half, side="left")
@@ -188,8 +198,15 @@ def simulate_realization(
         counts = hi - lo
         if np.any(counts <= 0):
             raise InvalidArgumentError("an aperture window contains no field samples")
-        i2 = (csum[hi] - csum[lo]) / counts
+        i2 = (csum[..., hi] - csum[..., lo]) / counts
     return IntensityRecord(bucket, i2)
+
+
+def _block_size(cfg: EnsembleConfig) -> int:
+    """Realizations per block, from the larger Bluestein length of the legs."""
+    out = cfg.detector_field_grid if cfg.detector_aperture > 0 else cfg.detector_grid
+    m = max(cfg.object_grid.n_points, out.n_points)
+    return max(1, 2**14 // next_fast_len(cfg.source_grid.n_points + m - 1))
 
 
 def _mc_records(
@@ -203,17 +220,16 @@ def _mc_records(
     i1 = np.empty(n)
     i2 = np.empty((n, cfg.detector_grid.n_points))
 
-    def work(indices: range) -> None:
-        for r in indices:
-            f = draw_source_realization(source, cfg.source_grid, r, cfg.master_seed)
-            rec = simulate_realization(f, mask, geom, cfg, source.wavelength)
-            i1[r] = rec.i1
-            i2[r] = rec.i2
+    def work(rows: range) -> None:
+        # a block of one goes through as the 1-D row
+        index = rows if len(rows) > 1 else rows.start
+        f = draw_source_realization(source, cfg.source_grid, index, cfg.master_seed)
+        rec = simulate_realization(f, mask, geom, cfg, source.wavelength)
+        i1[index] = rec.i1
+        i2[index] = rec.i2
 
-    # one contiguous chunk of realizations per worker
-    chunk = -(-n // max(n_workers, 1))
-    fan_out(work, [range(s, min(n, s + chunk)) for s in range(0, n, chunk)],
-            n_workers)
+    b = _block_size(cfg)
+    fan_out(work, [range(s, min(n, s + b)) for s in range(0, n, b)], n_workers)
     return i1, i2
 
 

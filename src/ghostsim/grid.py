@@ -71,14 +71,15 @@ def make_grid(x_min: float, x_max: float, n_points: int) -> TransverseGrid:
 
 @dataclass
 class ComplexField:
-    """Complex field amplitude sampled on a TransverseGrid."""
+    """Complex field amplitude on a TransverseGrid (the last axis); a
+    leading axis, if any, holds a block of realizations."""
 
     grid: TransverseGrid
     amplitude: np.ndarray
 
     def __post_init__(self) -> None:
         amp = np.asarray(self.amplitude, dtype=np.complex128)
-        if amp.ndim != 1 or amp.shape[0] != self.grid.n_points:
+        if amp.ndim < 1 or amp.shape[-1] != self.grid.n_points:
             raise GridMismatchError(
                 f"amplitude has shape {amp.shape}, grid has {self.grid.n_points} points"
             )

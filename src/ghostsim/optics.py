@@ -22,9 +22,14 @@ Building a Bluestein plan costs about ten times more than applying it, so
 each thread keeps the plans of its last two (input grid, output grid,
 lambda*z, sign) keys: the pre-chirp phase, the CZT object and the
 post-chirp. A thread has at most two plans in flight (one per refinement
-pass of a kernel map, one per leg of a Monte Carlo realization), so the
+pass of a kernel map, one per leg of a Monte Carlo block), so the
 bound grows with the number of workers and worker threads never evict each
 other's plans; a worker's plans go when its thread ends.
+
+Both sum over the last axis; leading axes (a block of realizations) are
+kept. A block row has the bits of a 1-D call only while 1-D temporaries
+stay under 256 KiB (past that numpy multiplies them in place with swapped
+operands, a block never), so only Bluestein lengths up to 8192 are batched.
 
 Both refuse to run when either grid undersamples the chirp:
 dx > lambda*z / (2*span) with span the extent of the union of the two
@@ -283,6 +288,7 @@ def chirp_kernel_sum(
 ) -> np.ndarray:
     """Evaluate S_k = sum_j values_j * exp(sign * i*pi*(x_j - y_k)^2 / lambda_z).
 
+    The sum runs over the last axis of ``values``; leading axes are kept.
     No quadrature weight or normalization is applied; callers supply both.
     ``method="direct"`` is the O(N*M) reference sum, ``method="fast"`` the
     Bluestein chirp-z factorization of the same sum.
@@ -290,7 +296,7 @@ def chirp_kernel_sum(
     if sign not in (1, -1):
         raise InvalidArgumentError("sign must be +1 or -1")
     v = np.asarray(values, dtype=np.complex128)
-    if v.shape != (in_grid.n_points,):
+    if v.ndim < 1 or v.shape[-1] != in_grid.n_points:
         raise GridMismatchError("values do not match the input grid")
 
     if method == "direct":
@@ -298,13 +304,14 @@ def chirp_kernel_sum(
         y = out_grid.x
         x = in_grid.x
         m = out_grid.n_points
-        out = np.empty(m, dtype=np.complex128)
+        out = np.empty(v.shape[:-1] + (m,), dtype=np.complex128)
         # block over outputs to keep the kernel matrix small
         block = max(1, int(4_000_000 // max(1, x.size)))
         for k0 in range(0, m, block):
             k1 = min(m, k0 + block)
             diff = x[None, :] - y[k0:k1, None]
-            out[k0:k1] = np.exp((sign * 1j * np.pi * gamma) * diff * diff) @ v
+            kernel = np.exp((sign * 1j * np.pi * gamma) * diff * diff)
+            out[..., k0:k1] = kernel @ v if v.ndim == 1 else v @ kernel.T
         return out
 
     if method != "fast":

@@ -31,7 +31,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, GhostSimError, InvalidArgumentError
+from .errors import (ConfigError, GhostSimError, InvalidArgumentError,
+                     SamplingCriterionError)
 from .grid import TransverseGrid, make_grid
 from .optics import (
     GaussianProfile,
@@ -39,6 +40,7 @@ from .optics import (
     SourceSpec,
     TransmissionMask,
     UniformProfile,
+    _check_sampling,
 )
 
 __all__ = ["ScenarioConfig", "parse_scenario", "dump_scenario", "KINDS", "METHODS"]
@@ -259,7 +261,8 @@ def spatial_grids(cfg: ScenarioConfig, z2_values) -> SpatialGrids:
     n_obj = cfg.object_points or _points(span_obj, dx_obj, minimum=64)
     object_grid = make_grid(-obj_half, obj_half, n_obj)
 
-    n_src = _points(span_src, bound1, minimum=64)
+    # the source grid is the input of both legs
+    n_src = _points(span_src, min(bound1, bound2), minimum=64)
     source_grid = make_grid(lo, hi, n_src)
 
     if cfg.detector_step:
@@ -400,6 +403,28 @@ def _check_record_budget(cfg: ScenarioConfig, lines: dict) -> None:
             f"need {size / 2**20:.0f} MiB of float64 records, over the "
             f"{_RECORD_BUDGET >> 20} MiB budget",
             key="n_realizations", line=lines.get("n_realizations"))
+
+
+def check_montecarlo_sampling(cfg: ScenarioConfig) -> None:
+    """Raise ConfigError where fresnel_propagate would refuse a Monte Carlo
+    leg of the planned run (to the object, to the detector at every z2),
+    naming the scenario key that set the grid, if one did."""
+    if cfg.kind == "hbt" or cfg.method == "analytic":
+        return
+    try:
+        g = spatial_grids(cfg, cfg.z2_values())
+    except GhostSimError:
+        return  # the run reports the unplannable geometry itself
+    keys = [k for k in ("detector_step", "detector_points") if getattr(cfg, k)]
+    key2 = None if g.detector_field or not keys else keys[0]
+    legs = [(cfg.z1, g.object, "object_points" if cfg.object_points else None)]
+    legs += [(z2, g.detector_field or g.detector, key2) for z2 in cfg.z2_values()]
+    for z, out, key in legs:
+        try:
+            _check_sampling(z, cfg.wavelength, g.source, out)
+        except SamplingCriterionError as exc:
+            raise ConfigError(f"Monte Carlo leg to z = {z:.6g} m: {exc}",
+                              key=key) from exc
 
 
 def _resolve_spatial(kind: str, values: dict, lines: dict) -> None:

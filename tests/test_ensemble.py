@@ -4,13 +4,17 @@ import threading
 
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox
 
 import ghostsim as gs
 from ghostsim import (
     DegenerateStatisticsError,
     GridMismatchError,
     InvalidArgumentError,
+    ensemble,
+    scenario,
 )
+from ghostsim.cli import preset_text
 from ghostsim.ensemble import fan_out
 
 
@@ -277,3 +281,98 @@ def test_fan_out_keeps_item_order(workers):
     assert fan_out(square, range(7), workers) == [i * i for i in range(7)]
     if workers <= 1:
         assert threads == {threading.get_ident()}
+
+
+# --- realization blocks ---
+
+
+def records_one_at_a_time(mask, source, geom, cfg):
+    """The Monte Carlo records from a loop over single realizations, with
+    the per-realization formulas written out: draw, both legs, bucket sum
+    and aperture window mean."""
+    sg, og, lam = cfg.source_grid, cfg.object_grid, source.wavelength
+    n = cfg.n_realizations
+    i1 = np.empty(n)
+    i2 = np.empty((n, cfg.detector_grid.n_points))
+    i0, i1_ = og.index_range(*cfg.bucket_window)
+    for r in range(n):
+        rng = Generator(Philox(key=np.array([cfg.master_seed, r], dtype=np.uint64)))
+        z = rng.standard_normal(2 * sg.n_points)
+        g = (z[0::2] + 1j * z[1::2]) * np.sqrt(0.5)
+        f = gs.ComplexField(sg, np.sqrt(source.profile.intensity(sg.x)) * g)
+        a = gs.fresnel_propagate(f, geom.z1, lam, og).amplitude[i0:i1_] * mask.t[i0:i1_]
+        i1[r] = float(np.sum(a.real**2 + a.imag**2) * og.dx)
+        if cfg.detector_aperture == 0.0:
+            a2 = gs.fresnel_propagate(f, geom.z2, lam, cfg.detector_grid).amplitude
+            i2[r] = a2.real**2 + a2.imag**2
+            continue
+        fg = cfg.detector_field_grid
+        a2 = gs.fresnel_propagate(f, geom.z2, lam, fg).amplitude
+        csum = np.concatenate(([0.0], np.cumsum(a2.real**2 + a2.imag**2)))
+        half = 0.5 * cfg.detector_aperture
+        lo = np.searchsorted(fg.x, cfg.detector_grid.x - half, side="left")
+        hi = np.searchsorted(fg.x, cfg.detector_grid.x + half, side="right")
+        i2[r] = (csum[hi] - csum[lo]) / (hi - lo)
+    return i1, i2
+
+
+def _fig2_case(n):
+    cfg = gs.parse_scenario(preset_text("fig2"))
+    grids = scenario.spatial_grids(cfg, cfg.z2_values())
+    ecfg = gs.EnsembleConfig(
+        n_realizations=n, master_seed=cfg.seed, source_grid=grids.source,
+        object_grid=grids.object, detector_grid=grids.detector,
+        bucket_window=grids.bucket, detector_aperture=cfg.detector_aperture,
+        detector_field_grid=grids.detector_field,
+    )
+    return cfg.build_mask(grids.object), cfg.source(), cfg.geometry(), ecfg
+
+
+def _rig_case(rig, n, **kw):
+    mask = gs.TransmissionMask.double_slit(rig.object_grid, 150e-6, 350e-6)
+    return mask, rig.source, rig.geom, rig.config(n, 41, **kw)
+
+
+def _big_source_case(rig, n):
+    # a 16385-point source grid: Bluestein length past 8192, so B = 1
+    cfg = gs.EnsembleConfig(
+        n_realizations=n, master_seed=8, source_grid=gs.make_grid(-2.2e-3, 2.2e-3, 16385),
+        object_grid=rig.object_grid, detector_grid=rig.detector_grid,
+        bucket_window=(-0.3e-3, 0.2e-3),
+    )
+    return gs.TransmissionMask.uniform(rig.object_grid), rig.source, rig.geom, cfg
+
+
+@pytest.mark.parametrize("case, block", [
+    ("fig2", 18),
+    ("point", 32),
+    ("aperture", 21),
+    ("big_source", 1),
+])
+def test_block_records_match_one_realization_at_a_time(small_rig, case, block):
+    # realization counts that no block size divides; 1, 2 and 3 workers
+    mask, source, geom, cfg = {
+        "fig2": lambda: _fig2_case(40),
+        "point": lambda: _rig_case(small_rig, 70),
+        "aperture": lambda: _rig_case(
+            small_rig, 45, detector_aperture=0.2e-3,
+            detector_field_grid=gs.make_grid(-0.8e-3, 0.8e-3, 512)),
+        "big_source": lambda: _big_source_case(small_rig, 3),
+    }[case]()
+    assert ensemble._block_size(cfg) == block
+    ref_i1, ref_i2 = records_one_at_a_time(mask, source, geom, cfg)
+    for workers in (1, 2, 3):
+        i1, i2 = ensemble._mc_records(mask, source, geom, cfg, workers)
+        assert np.array_equal(i1, ref_i1)
+        assert np.array_equal(i2, ref_i2)
+
+
+def test_drawn_block_rows_are_single_draws(small_rig):
+    rows = gs.draw_source_realization(small_rig.source, small_rig.source_grid,
+                                      range(5, 9), 123).amplitude
+    assert rows.shape == (4, small_rig.source_grid.n_points)
+    for r, row in zip(range(5, 9), rows):
+        one = gs.draw_source_realization(small_rig.source, small_rig.source_grid, r, 123)
+        assert np.array_equal(row, one.amplitude)
+    with pytest.raises(InvalidArgumentError):
+        gs.draw_source_realization(small_rig.source, small_rig.source_grid, range(-1, 2), 1)

@@ -217,3 +217,48 @@ def test_plan_cache_stays_bounded():
         optics.chirp_kernel_sum(v, gin, gout, LAM * 0.3)
         assert plans.cache_info().currsize <= size
     assert plans.cache_info().currsize == size
+
+
+# --- blocks of realizations on the last axis ---
+
+
+def test_batched_chirp_sum_matches_row_calls_bitwise():
+    # the Monte Carlo block size at the fig2 leg: rows are the 1-D bits
+    gin = gs.make_grid(-0.835e-3, 0.835e-3, 65)
+    gout = gs.make_grid(-6e-3, 6e-3, 829)
+    rng = np.random.default_rng(65)
+    v = rng.standard_normal((18, 65)) + 1j * rng.standard_normal((18, 65))
+    for sign in (1, -1):
+        block = optics.chirp_kernel_sum(v, gin, gout, 692.9e-9 * 1.7, sign)
+        rows = [optics.chirp_kernel_sum(r, gin, gout, 692.9e-9 * 1.7, sign) for r in v]
+        assert block.shape == (18, 829)
+        assert np.array_equal(block, np.stack(rows))
+
+
+def test_batched_chirp_sum_at_large_n_agrees_with_row_calls():
+    # past 16384 points a 1-D call reuses its temporaries in place and a
+    # block does not, so bits may differ; the Monte Carlo runs such
+    # transforms as 1-D rows (a block of one)
+    gin = gs.make_grid(-1.1e-3, 0.9e-3, 16385)
+    gout = gs.make_grid(-2e-3, 2.5e-3, 529)
+    rng = np.random.default_rng(16385)
+    v = rng.standard_normal((3, 16385)) + 1j * rng.standard_normal((3, 16385))
+    block = optics.chirp_kernel_sum(v, gin, gout, LAM * 0.3, -1)
+    rows = np.stack([optics.chirp_kernel_sum(r, gin, gout, LAM * 0.3, -1) for r in v])
+    assert np.max(np.abs(block - rows)) <= 1e-13 * np.max(np.abs(rows))
+
+
+def test_batched_direct_sum_and_field_match_rows():
+    gin = gs.make_grid(-1e-3, 1e-3, 96)
+    gout = gs.make_grid(-2e-3, 2e-3, 80)
+    rng = np.random.default_rng(96)
+    v = rng.standard_normal((4, 96)) + 1j * rng.standard_normal((4, 96))
+    block = optics.chirp_kernel_sum(v, gin, gout, LAM * 0.3, 1, method="direct")
+    rows = np.stack([optics.chirp_kernel_sum(r, gin, gout, LAM * 0.3, 1, method="direct")
+                     for r in v])
+    assert np.max(np.abs(block - rows)) <= 1e-12 * np.max(np.abs(rows))
+    out = gs.fresnel_propagate(gs.ComplexField(gin, v), 1.7, LAM, gout)
+    assert out.amplitude.shape == (4, 80)
+    assert np.array_equal(out.amplitude[2],
+                          gs.fresnel_propagate(gs.ComplexField(gin, v[2]), 1.7, LAM,
+                                               gout).amplitude)

@@ -57,8 +57,12 @@ def test_optics_hooks_see_the_calls(monkeypatch, tiny_scenario_text):
               if name.startswith("optics.")}
     assert traced == {("coherence", "chirp_kernel_sum"),
                       ("ensemble", "fresnel_propagate")}
-    calls = dict.fromkeys(traced, 0)
-    for key in traced:
+    # the Monte Carlo's own spans, which the block path must still reach
+    realization = {("ensemble", "draw_source_realization"),
+                   ("ensemble", "simulate_realization")}
+    assert realization <= {row[:2] for row in _traced_table()}
+    calls = dict.fromkeys(traced | realization, 0)
+    for key in calls:
         module = importlib.import_module(f"ghostsim.{key[0]}")
         fn = getattr(module, key[1])
 
@@ -72,3 +76,4 @@ def test_optics_hooks_see_the_calls(monkeypatch, tiny_scenario_text):
     mc = tiny_scenario_text.replace("n_realizations = 384", "n_realizations = 4")
     gs.run_scenario(gs.parse_scenario(mc), workers=2)
     assert calls[("ensemble", "fresnel_propagate")] > 0
+    assert all(calls[key] > 0 for key in realization)

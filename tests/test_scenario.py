@@ -1,6 +1,7 @@
 """Scenario file grammar, presets, validation diagnostics."""
 
 import dataclasses
+from pathlib import Path
 
 import pytest
 
@@ -153,6 +154,55 @@ def test_record_matrix_has_a_byte_budget(tmp_path, capsys, tiny_scenario_text):
     assert "n_realizations" in err and "line 13" in err
     for name in preset_names():
         scen.write_text(preset_text(name))
+        assert cli.main(["validate", str(scen)]) == 0
+
+
+def test_fig3_geometry_runs_by_montecarlo(tmp_path):
+    # the source grid is the input of both legs, so z2 < z1 rows no longer
+    # alias; fig2 (z2 = z1) keeps its source grid
+    text = preset_text("fig3").replace("method = analytic", "method = montecarlo")
+    text += "n_realizations = 8\n"
+    cfg = gs.parse_scenario(text)
+    assert scenario.spatial_grids(cfg, cfg.z2_values()).source.n_points == 2122
+    fig2 = gs.parse_scenario(preset_text("fig2"))
+    assert scenario.spatial_grids(fig2, fig2.z2_values()).source.n_points == 65
+    scen = tmp_path / "fig3mc.scenario"
+    scen.write_text(text)
+    assert cli.main(["validate", str(scen)]) == 0
+    assert cli.main(["run", str(scen), "--out", str(tmp_path / "out"),
+                     "--threads", "2"]) == 0
+    assert (tmp_path / "out" / "sweep.csv").exists()
+
+
+def test_validate_rejects_an_aliasing_montecarlo_leg(tmp_path, capsys,
+                                                     tiny_scenario_text):
+    no_aperture = preset_text("fig2").replace("detector_aperture = 1.8 mm",
+                                              "detector_aperture = 0 mm")
+    cases = {
+        "detector_step": no_aperture,
+        "object_points": tiny_scenario_text + "object_span = 8 mm\nobject_points = 64\n",
+        "detector_points": tiny_scenario_text.replace("detector_step = 25 um",
+                                                      "detector_points = 3"),
+    }
+    scen = tmp_path / "alias.scenario"
+    for key, text in cases.items():
+        scen.write_text(text)
+        assert cli.main(["validate", str(scen)]) == 2
+        err = capsys.readouterr().err
+        assert f"key '{key}'" in err and "alias" in err
+    # the run makes the same check at run time
+    scen.write_text(no_aperture)
+    assert cli.main(["run", str(scen), "--out", str(tmp_path / "out")]) == 3
+    assert "alias" in capsys.readouterr().err
+    # the analytic arm propagates no field on these grids
+    scen.write_text(no_aperture.replace("method = montecarlo", "method = analytic"))
+    assert cli.main(["validate", str(scen)]) == 0
+    bench = Path(__file__).resolve().parents[1] / "perfbench" / "scenarios"
+    texts = [preset_text(name) for name in preset_names()]
+    texts += [p.read_text() for p in sorted(bench.glob("*.scenario"))]
+    assert len(texts) == 6
+    for text in texts:
+        scen.write_text(text)
         assert cli.main(["validate", str(scen)]) == 0
 
 
