@@ -12,6 +12,15 @@ same-arm kernel gives on its diagonal; for z1 != z2 the cross-arm diagonal
 is complex and does not represent a mean intensity, so each arm uses its
 own. The x1 integral is the mask grid's trapezoid rule, matching the Monte
 Carlo bucket sum for any mask that vanishes at the grid edges.
+
+|K(x1, x2)|^2 depends on x1 and x2 only through u = x1/(lambda*z1) -
+x2/(lambda*z2), as one point-spread function P(u) (see coherence). The
+numerator is therefore the mask's |T|^2 scaled by the magnification
+M = z2/z1 and blurred by P: sharp at z2 = z1, where P is the van
+Cittert-Zernike sinc^2, and blurred by the source chirp
+exp(i*pi*alpha*x'^2), alpha = 1/(lambda*z1) - 1/(lambda*z2), anywhere else.
+coherence.ghost_image_numerator evaluates it in three transforms per
+quadrature pass.
 """
 
 from __future__ import annotations
@@ -20,7 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coherence import _trapezoid_weights, coherence_kernel_map
+from .coherence import _trapezoid_weights, ghost_image_numerator
+# not called here; perfbench/child.py traces the name at this import site
+from .coherence import coherence_kernel_map  # noqa: F401
 from .ensemble import CorrelationProfile
 from .errors import (
     DegenerateStatisticsError,
@@ -82,9 +93,11 @@ def delta_g2_analytic(
 
     Requires the mask grid to resolve the kernel's transverse structure:
     dx < lambda * z1 / (4 * a) for source half-width a. Raises
-    DegenerateStatisticsError for a fully opaque mask. map_rtol loosens
-    the kernel quadrature for survey work (sweeps) where profile shapes,
-    not ninth-digit values, are the point.
+    DegenerateStatisticsError for a fully opaque mask. map_rtol is the
+    quadrature's stop test on the profile itself: refinement ends once a
+    step halving moves no point of the numerator by more than map_rtol
+    times its peak. Survey work (sweeps), where profile shapes and not
+    ninth-digit values are the point, loosens it.
     """
     a = source.effective_half_width()
     limit = source.wavelength * geom.z1 / (4.0 * a)
@@ -97,12 +110,8 @@ def delta_g2_analytic(
     if not np.any(t2 > 0):
         raise DegenerateStatisticsError("mask transmits nothing; delta_g2 undefined")
     weights = t2 * _trapezoid_weights(mask.grid.n_points, mask.grid.dx)
-    sel = weights > 0
-    x1 = mask.grid.x[sel]
-    weights = weights[sel]
-
-    k = coherence_kernel_map(x1, x2_grid, source, geom, rtol=map_rtol)
-    numer = weights @ (np.abs(k) ** 2)
+    numer = ghost_image_numerator(mask.grid, weights, x2_grid, source, geom,
+                                  rtol=map_rtol)
 
     p_src = source.profile.integral()
     mean_i1 = p_src / (source.wavelength * geom.z1)

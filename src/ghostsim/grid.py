@@ -2,7 +2,8 @@
 
 All positions are in meters. A grid is defined by its end points and the
 number of samples; the coordinate of sample i is always computed as
-``x_min + i * dx`` so there is no cumulative rounding anywhere.
+``x_min + i * dx`` so there is no cumulative rounding anywhere, and the
+last sample is ``x_max`` itself, never an ulp past it.
 """
 
 from __future__ import annotations
@@ -51,8 +52,12 @@ class TransverseGrid:
 
     @property
     def x(self) -> np.ndarray:
-        # recomputed from the index each call, never accumulated
-        return self.x_min + np.arange(self.n_points) * self.dx
+        # recomputed from the index each call, never accumulated; the end
+        # point is pinned so a profile supported on [x_min, x_max] is not
+        # cut off at its last node by an ulp of rounding in i * dx
+        x = self.x_min + np.arange(self.n_points) * self.dx
+        x[-1] = self.x_max
+        return x
 
     def index_range(self, lo: float, hi: float) -> tuple[int, int]:
         """Half-open index range [i0, i1) of samples with lo <= x <= hi."""

@@ -21,9 +21,9 @@ Two execution paths compute the same finite sum:
 Building a Bluestein plan costs about ten times more than applying it, so
 each thread keeps the plans of its last two (input grid, output grid,
 lambda*z, sign) keys: the pre-chirp phase, the CZT object and the
-post-chirp. A thread has at most two plans in flight (one per refinement
-pass of a kernel map, one per leg of a Monte Carlo block), so the
-bound grows with the number of workers and worker threads never evict each
+post-chirp. A thread has at most two plans in flight (mask onto lags and
+lags onto detector in a pass of the analytic profile, one per leg of a
+Monte Carlo block, one per pass of a kernel map), so the bound grows with the number of workers and worker threads never evict each
 other's plans; a worker's plans go when its thread ends.
 
 Both sum over the last axis; leading axes (a block of realizations) are

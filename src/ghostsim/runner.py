@@ -70,10 +70,13 @@ def profile_metrics(profile: CorrelationProfile) -> dict:
     Peaks are strict local maxima reaching at least half the global
     maximum; maxima separated only by dips shallower than 20% of the lower
     of the pair count as one feature (kernel side lobes ripple across the
-    top of an extended feature's image). peak_separation is the distance
-    between the two largest peaks. FWHM brackets each peak by linear
-    interpolation of the half-maximum crossings and is None when a side
-    never crosses.
+    top of an extended feature's image). Each peak's half-maximum crossings
+    are found by linear interpolation on either side; its position is
+    their midpoint and its FWHM their distance. A flat-topped peak's
+    argmax wanders across the plateau with the noise, the midpoint does
+    not. Where a side never crosses, the position falls back on the
+    maximum sample and the FWHM is None. peak_separation is the distance
+    between the positions of the two largest peaks.
     """
     d = np.asarray(profile.delta_g2, dtype=float)
     x = np.asarray(profile.x2, dtype=float)
@@ -98,15 +101,24 @@ def profile_metrics(profile: CorrelationProfile) -> dict:
         else:
             merged.append(i)
     cand = np.array(merged)
-    out["peak_positions"] = [float(x[i]) for i in cand]
-    out["fwhm_per_peak"] = [_fwhm(x, d, int(i)) for i in cand]
+    for i in cand:
+        left, right = _half_max_crossings(x, d, int(i))
+        if left is None or right is None:
+            out["peak_positions"].append(float(x[i]))
+            out["fwhm_per_peak"].append(None)
+        else:
+            out["peak_positions"].append(float(0.5 * (left + right)))
+            out["fwhm_per_peak"].append(float(right - left))
     if cand.size >= 2:
-        order = cand[np.argsort(d[cand])[::-1][:2]]
-        out["peak_separation"] = float(abs(x[order[0]] - x[order[1]]))
+        pos = out["peak_positions"]
+        first, second = np.argsort(d[cand])[::-1][:2]
+        out["peak_separation"] = float(abs(pos[first] - pos[second]))
     return out
 
 
-def _fwhm(x: np.ndarray, d: np.ndarray, i: int) -> Optional[float]:
+def _half_max_crossings(x: np.ndarray, d: np.ndarray, i: int) -> tuple:
+    """Interpolated positions where d falls below half of d[i], walking
+    left and right from sample i; None for a side that never crosses."""
     half = 0.5 * d[i]
     left = right = None
     for j in range(i, 0, -1):
@@ -119,9 +131,7 @@ def _fwhm(x: np.ndarray, d: np.ndarray, i: int) -> Optional[float]:
             frac = (d[j] - half) / (d[j] - d[j + 1])
             right = x[j] + frac * (x[j + 1] - x[j])
             break
-    if left is None or right is None:
-        return None
-    return float(right - left)
+    return left, right
 
 
 def _ensemble_config(cfg: ScenarioConfig, grids: SpatialGrids, seed: int) -> EnsembleConfig:
@@ -183,8 +193,8 @@ def _run_sweep(cfg: ScenarioConfig, workers: int):
         z2 = float(z2_values[index])
         geom = cfg.geometry(z2=z2)
         if cfg.method == "analytic":
-            # survey accuracy; defocused rows would otherwise burn most of
-            # the run refining kernel digits far below the profile scale
+            # survey accuracy: each row's quadrature stops once a halving
+            # moves no point by more than 1e-5 of the row's peak
             row = delta_g2_analytic(mask, source, geom, grids.detector,
                                     map_rtol=1e-5)
         else:

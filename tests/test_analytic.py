@@ -5,6 +5,8 @@ import pytest
 
 import ghostsim as gs
 from ghostsim import DegenerateStatisticsError, InvalidArgumentError
+from ghostsim.cli import preset_text
+from ghostsim.scenario import spatial_grids
 
 
 def test_pointlike_two_features_exact():
@@ -177,3 +179,15 @@ def test_sweep_rows_identical_at_any_worker_count():
     assert m_a.shape == (4, 41)
     assert np.array_equal(z_a, z_b) and np.array_equal(x_a, x_b)
     assert np.array_equal(m_a, m_b)
+
+
+def test_aperture_field_grid_converges_at_default_tolerance():
+    # fig2's 528-point detector-field grid; before the grid end points sat
+    # exactly on the source edge this never met map_rtol = 1e-7
+    cfg = gs.parse_scenario(preset_text("fig2"))
+    grids = spatial_grids(cfg, cfg.z2_values())
+    mask = cfg.build_mask(grids.object)
+    prof = gs.delta_g2_analytic(mask, cfg.source(), cfg.geometry(),
+                                grids.detector_field)
+    assert grids.detector_field.n_points == 528
+    assert np.all(np.isfinite(prof.delta_g2)) and prof.delta_g2.max() > 0

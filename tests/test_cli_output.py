@@ -1,5 +1,6 @@
 """Result files and the command-line front end."""
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import ghostsim as gs
+from ghostsim.cli import preset_text
 
 
 def run_cli(*args, env_extra=None, cwd=None):
@@ -208,3 +210,26 @@ def test_cli_thread_override_validation(tmp_path, tiny_scenario_text):
     res3 = run_cli("run", str(scen), "--out", str(tmp_path / "z"),
                    env_extra={"GHOSTSIM_THREADS": "2"})
     assert res3.returncode == 0
+
+
+def test_peak_position_is_half_maximum_midpoint():
+    # a flat-topped peak whose highest sample sits off centre: the reported
+    # position is the centre of its half-maximum crossings, not the argmax
+    x = np.linspace(-5.0, 5.0, 11)
+    d = np.array([0, 0, 0, 2, 4, 4.001, 4, 4, 2, 0, 0], dtype=float)
+    prof = gs.CorrelationProfile(x2=x, delta_g2=d, std_err=np.zeros_like(d),
+                                 n_realizations=0)
+    m = gs.profile_metrics(prof)
+    assert m["peak_positions"] == pytest.approx([0.5], abs=1e-3)
+    assert m["fwhm_per_peak"] == pytest.approx([5.0], abs=1e-3)
+
+
+@pytest.mark.parametrize("seed", [28, 34])
+def test_fig2_separation_at_plateau_seeds(seed):
+    # seeds at which the argmax of fig2's flat-topped peaks jumped a whole
+    # 0.25 mm scan step; criterion 3's separation rule
+    cfg = gs.parse_scenario(preset_text("fig2"))
+    cfg = dataclasses.replace(cfg, seed=seed)
+    _, report = gs.run_scenario(cfg, workers=2)
+    assert len(report.peak_positions) == 2
+    assert abs(report.peak_separation - 3.66e-3) <= cfg.detector_step

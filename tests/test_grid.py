@@ -78,3 +78,13 @@ def test_field_rejects_mismatched_amplitude():
     g = gs.make_grid(-1.0, 1.0, 21)
     with pytest.raises(GridMismatchError):
         gs.ComplexField(g, np.ones(20, complex))
+
+
+def test_last_sample_is_x_max():
+    # i * dx rounds one ulp past x_max for thousands of point counts; a
+    # top-hat source on [-a, a] would then read 0 at its last node
+    profile = gs.UniformProfile(6e-3)
+    for n in range(65, 6001):
+        x = gs.make_grid(-6e-3, 6e-3, n).x
+        assert x[-1] == 6e-3
+        assert profile.intensity(x[[0, -1]]).tolist() == [1.0, 1.0]

@@ -5,6 +5,8 @@ import pytest
 
 import ghostsim as gs
 from ghostsim import InvalidArgumentError, UnsupportedProfileError, coherence
+from ghostsim.cli import preset_text
+from ghostsim.scenario import spatial_grids
 
 LAM = 692.9e-9
 A = 0.835e-3
@@ -125,8 +127,12 @@ def test_gaussian_source_narrows_kernel():
             np.array([0.0, 0.1e-3]), gs.make_grid(-0.5e-3, 0.5e-3, 9), SRC, GEOM_EQ,
             rtol=0.0,
         ),
+        lambda: coherence.ghost_image_numerator(
+            MASK_GRID, _slit_weights(MASK_GRID), gs.make_grid(-0.5e-3, 0.5e-3, 9),
+            SRC, GEOM_EQ, rtol=0.0,
+        ),
     ],
-    ids=["pointwise", "map"],
+    ids=["pointwise", "map", "numerator"],
 )
 def test_unconverged_quadrature_raises(monkeypatch, entry):
     # one halving with a zero tolerance cannot converge; the last iterate
@@ -150,3 +156,89 @@ def test_quadrature_refinement_stops_at_point_cap(monkeypatch):
     with pytest.raises(InvalidArgumentError, match="did not converge"):
         gs.mutual_coherence_kernel(0.0, 0.0, SRC, GEOM_EQ)
     assert sizes == [65]
+
+
+# --- ghost-image numerator from the point-spread function ---
+
+MASK_GRID = gs.make_grid(-0.2e-3, 0.2e-3, 257)
+X2_SCAN = gs.make_grid(-0.3e-3, 0.3e-3, 121)
+
+
+def _slit_weights(grid):
+    t2 = np.abs(gs.TransmissionMask.double_slit(grid, 40e-6, 160e-6).t) ** 2
+    return t2 * coherence._trapezoid_weights(grid.n_points, grid.dx)
+
+
+@pytest.mark.parametrize("z2", [0.3, 0.36], ids=["focused", "defocused"])
+@pytest.mark.parametrize(
+    "profile", [gs.UniformProfile(2e-3), gs.GaussianProfile(1.5e-3)],
+    ids=["uniform", "gaussian"],
+)
+def test_numerator_matches_kernel_rows(z2, profile):
+    # same n, same trapezoid nodes: sum W |K|^2 over the kernel map's rows
+    src = gs.SourceSpec(693e-9, profile)
+    geom = gs.OpticalGeometry(0.3, z2)
+    w = _slit_weights(MASK_GRID)
+    sel = w > 0
+    x1 = MASK_GRID.x[sel]
+    n = coherence._phase_rule_points(src, geom, x1.min(), x1.max(),
+                                     X2_SCAN.x_min, X2_SCAN.x_max)
+    rows = coherence._kernel_rows_fixed(x1, X2_SCAN, src, geom, n)
+    expected = w[sel] @ np.abs(rows) ** 2
+    got = coherence._numerator_fixed(MASK_GRID, w, X2_SCAN, src, geom, n)
+    assert np.max(np.abs(got - expected)) <= 1e-9 * expected.max()
+
+
+def test_numerator_accurate_at_a_million_lags():
+    # the Bluestein chirp w**(k^2/2) drifts as its length grows; at 2^20 + 1
+    # lags (n points give n lags) the profile must still match a direct sum
+    src = gs.SourceSpec(693e-9, gs.UniformProfile(6e-3))
+    geom = gs.OpticalGeometry(0.3, 0.37)
+    grid = gs.make_grid(-0.2e-3, 0.2e-3, 81)
+    w = np.zeros(grid.n_points)
+    w[[10, 30, 40, 55, 70]] = grid.dx
+    x2 = gs.make_grid(-0.3e-3, 0.3e-3, 7)
+    n = (1 << 20) + 1
+    got = coherence._numerator_fixed(grid, w, x2, src, geom, n)
+
+    lam_z1, lam_z2 = 693e-9 * geom.z1, 693e-9 * geom.z2
+    quad = gs.make_grid(-6e-3, 6e-3, n)
+    xp = quad.x
+    g = (coherence._trapezoid_weights(n, quad.dx)
+         * np.exp(1j * np.pi * (1 / lam_z1 - 1 / lam_z2) * xp**2))
+    direct = np.zeros(x2.n_points)
+    for j in np.nonzero(w)[0]:
+        for k, y in enumerate(x2.x):
+            u = grid.x[j] / lam_z1 - y / lam_z2
+            direct[k] += w[j] * abs(np.sum(g * np.exp(-2j * np.pi * xp * u))) ** 2
+    direct /= lam_z1 * lam_z2
+    # a tenth of the default stop tolerance; measured 5.9e-10 here and at
+    # most 8.7e-9 at the 4M-point cap on the fig3 geometry
+    assert np.max(np.abs(got - direct)) <= 1e-8 * direct.max()
+
+
+def test_numerator_refinement_is_second_order():
+    # fig3's row z2 = 0.37 m starts at n = 4819; with both end nodes on the
+    # source edge the trapezoid error falls 4x per halving, not 2x
+    cfg = gs.parse_scenario(preset_text("fig3"))
+    grids = spatial_grids(cfg, cfg.z2_values())
+    mask = cfg.build_mask(grids.object)
+    w = np.abs(mask.t) ** 2 * coherence._trapezoid_weights(
+        mask.grid.n_points, mask.grid.dx)
+    geom = cfg.geometry(z2=0.37)
+    sizes = [4819, 9637, 19273, 38545]
+    vals = [coherence._numerator_fixed(mask.grid, w, grids.detector,
+                                       cfg.source(), geom, n) for n in sizes]
+    steps = [np.max(np.abs(b - a)) for a, b in zip(vals, vals[1:])]
+    for coarse, fine in zip(steps, steps[1:]):
+        assert 3.5 < coarse / fine < 4.5
+
+
+def test_numerator_rejects_bad_weights():
+    src = gs.SourceSpec(693e-9, gs.UniformProfile(2e-3))
+    with pytest.raises(InvalidArgumentError):
+        coherence.ghost_image_numerator(MASK_GRID, np.zeros(MASK_GRID.n_points),
+                                        X2_SCAN, src, GEOM_EQ)
+    with pytest.raises(InvalidArgumentError):
+        coherence.ghost_image_numerator(MASK_GRID, np.ones(3), X2_SCAN, src,
+                                        GEOM_EQ)
