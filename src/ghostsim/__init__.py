@@ -37,7 +37,6 @@ from .ensemble import (
 )
 from .analytic import (
     PointlikeObject,
-    coherence_scale,
     delta_g2_analytic,
     g2_pointlike,
     predicted_speckle_size,
@@ -87,7 +86,6 @@ __all__ = [
     "UnsupportedProfileError",
     "apply_mask",
     "coherence_kernel_map",
-    "coherence_scale",
     "delta_g2_analytic",
     "delta_g2_montecarlo",
     "draw_source_realization",

@@ -39,20 +39,13 @@ from .errors import (
     UnsupportedProfileError,
 )
 from .grid import TransverseGrid
-from .optics import (
-    GaussianProfile,
-    OpticalGeometry,
-    SourceSpec,
-    TransmissionMask,
-    UniformProfile,
-)
+from .optics import OpticalGeometry, SourceSpec, TransmissionMask, UniformProfile
 
 __all__ = [
     "PointlikeObject",
     "delta_g2_analytic",
     "g2_pointlike",
     "predicted_speckle_size",
-    "coherence_scale",
 ]
 
 
@@ -88,6 +81,7 @@ def delta_g2_analytic(
     geom: OpticalGeometry,
     x2_grid: TransverseGrid,
     map_rtol: float = 1e-7,
+    detector_aperture: float = 0.0,
 ) -> CorrelationProfile:
     """Ensemble-limit delta_g2(x2) for an extended mask.
 
@@ -97,7 +91,9 @@ def delta_g2_analytic(
     quadrature's stop test on the profile itself: refinement ends once a
     step halving moves no point of the numerator by more than map_rtol
     times its peak. Survey work (sweeps), where profile shapes and not
-    ninth-digit values are the point, loosens it.
+    ninth-digit values are the point, loosens it. detector_aperture is the
+    full width of the scanning detector, whose reading at x2 is its mean
+    intensity over [x2 - D/2, x2 + D/2]; 0 is a point detector.
     """
     a = source.effective_half_width()
     limit = source.wavelength * geom.z1 / (4.0 * a)
@@ -111,7 +107,8 @@ def delta_g2_analytic(
         raise DegenerateStatisticsError("mask transmits nothing; delta_g2 undefined")
     weights = t2 * _trapezoid_weights(mask.grid.n_points, mask.grid.dx)
     numer = ghost_image_numerator(mask.grid, weights, x2_grid, source, geom,
-                                  rtol=map_rtol)
+                                  rtol=map_rtol,
+                                  detector_aperture=detector_aperture)
 
     p_src = source.profile.integral()
     mean_i1 = p_src / (source.wavelength * geom.z1)
@@ -164,20 +161,3 @@ def predicted_speckle_size(source: SourceSpec, z: float) -> float:
         )
     return source.wavelength * z / (2.0 * source.profile.half_width)
 
-
-def coherence_scale(source: SourceSpec, z: float) -> float:
-    """Rough transverse coherence width at distance z, any profile.
-
-    Used for grid sizing, not for physics claims: uniform gives the sinc
-    first zero, gaussian the 1/e^2 point of its transform, sampled profiles
-    fall back on their support half-width.
-    """
-    if z <= 0:
-        raise InvalidArgumentError("distance must be positive")
-    lam_z = source.wavelength * z
-    p = source.profile
-    if isinstance(p, UniformProfile):
-        return lam_z / (2.0 * p.half_width)
-    if isinstance(p, GaussianProfile):
-        return 2.0 * lam_z / (np.pi * p.half_width)
-    return lam_z / (2.0 * source.effective_half_width())

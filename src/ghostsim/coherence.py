@@ -206,6 +206,7 @@ def _numerator_fixed(
     source: SourceSpec,
     geom: OpticalGeometry,
     n: int,
+    detector_aperture: float = 0.0,
 ) -> np.ndarray:
     """N(x2) = sum_x1 W(x1) |K(x1, x2)|^2 with an n-point trapezoid.
 
@@ -222,6 +223,9 @@ def _numerator_fixed(
     the mask. Starting the lags at m = 0 keeps the largest terms at the
     start of the chirp-z input, where the Bluestein chirp w**(k^2/2) has
     drifted least.
+
+    The mean of N over a detector of full width D centred on x2 multiplies
+    each lag term by its box transform sinc(m*h*D/(lambda*z2)).
     """
     lo, hi = source.profile.support()
     quad = make_grid(lo, hi, n)
@@ -242,6 +246,7 @@ def _numerator_fixed(
                          mask_grid, lags, lz1, sign=1)
     # undo the lambda*z1 post-chirp and pre-undo the lambda*z2 pre-chirp
     b = r * a * np.exp((-1j * np.pi * alpha) * y**2)
+    b *= np.sinc(y * detector_aperture / lz2)
     s = chirp_kernel_sum(b, lags, x2_grid, lz2, sign=-1)
     s *= np.exp((1j * np.pi / lz2) * x2_grid.x**2)
     # N is a sum of squares; a negative value is rounding around a zero
@@ -255,6 +260,7 @@ def ghost_image_numerator(
     source: SourceSpec,
     geom: OpticalGeometry,
     rtol: float = 1e-7,
+    detector_aperture: float = 0.0,
 ) -> np.ndarray:
     """N(x2) = sum_x1 W(x1) |K(x1, x2)|^2 over the nodes of mask_grid.
 
@@ -265,20 +271,26 @@ def ghost_image_numerator(
     stops once a pass moves no point of N by more than rtol times max|N|.
     Three transforms per pass (see _numerator_fixed), independent of the
     number of transmitting nodes; agreement with the kernel rows of
-    coherence_kernel_map is covered by the tests.
+    coherence_kernel_map is covered by the tests. detector_aperture > 0
+    returns, at each x2, the mean of N over [x2 - D/2, x2 + D/2] with D
+    the aperture's full width.
     """
+    if detector_aperture < 0:
+        raise InvalidArgumentError("detector_aperture must be >= 0")
     weights = np.asarray(weights, dtype=float)
     if weights.shape != (mask_grid.n_points,):
         raise InvalidArgumentError("weights must have one value per mask grid node")
     nodes = mask_grid.x[weights > 0]
     if nodes.size == 0:
         raise InvalidArgumentError("weights must have a positive entry")
+    half = 0.5 * detector_aperture
     n = _phase_rule_points(
         source, geom, float(nodes.min()), float(nodes.max()),
-        x2_grid.x_min, x2_grid.x_max,
+        x2_grid.x_min - half, x2_grid.x_max + half,
     )
     return _refine(
-        lambda m: _numerator_fixed(mask_grid, weights, x2_grid, source, geom, m),
+        lambda m: _numerator_fixed(mask_grid, weights, x2_grid, source, geom, m,
+                                   detector_aperture),
         n,
         lambda prev, cur: float(np.max(np.abs(cur - prev)))
         <= rtol * float(np.max(cur)),

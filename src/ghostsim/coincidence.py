@@ -28,7 +28,6 @@ by 2/ln2 for the exponential model.
 
 from __future__ import annotations
 
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -37,6 +36,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 from scipy.signal import lfilter
 
+from .ensemble import fan_out
 from .errors import (
     DegenerateStatisticsError,
     InvalidArgumentError,
@@ -244,41 +244,24 @@ def thin_photons(
         return np.empty(0)
     scale = det.mean_rate * dt / mean_i
 
-    blocks = iter(range(0, trace.size, _BLOCK))
-    take = threading.Lock()
+    def hits_in(a: int) -> np.ndarray:
+        seg = trace[a : a + _BLOCK]
+        if np.fmin.reduce(seg) < 0:  # fmin skips NaN: any(seg < 0)
+            raise InvalidArgumentError("trace intensities must be non-negative")
+        u = _rng_at(seed, a).random(seg.size)
+        # u < 1 always, so comparing with the unclipped p equals the
+        # comparison with p clipped to [0, 1]
+        p_max = seg.max() * scale
+        if p_max < 1.0:
+            # rounding is monotone, so every bin with u < p has u < p_max
+            cand = np.flatnonzero(u < p_max)
+            hit = cand[u[cand] < seg[cand] * scale]
+        else:
+            hit = np.flatnonzero(u < seg * scale)
+        return hit + a
 
-    def hits_in() -> dict:
-        # the threads take blocks in turn, so a stalled one holds up no share
-        u = np.empty(_BLOCK)
-        p = np.empty(_BLOCK)
-        below = np.empty(_BLOCK, dtype=bool)
-        found = {}
-        while True:
-            with take:
-                a = next(blocks, None)
-            if a is None:
-                return found
-            seg = trace[a : a + _BLOCK]
-            m = seg.size
-            if np.fmin.reduce(seg) < 0:  # fmin skips NaN: any(seg < 0)
-                raise InvalidArgumentError("trace intensities must be non-negative")
-            _rng_at(seed, a).random(out=u[:m])
-            # u < 1 always, so comparing with the unclipped p equals the
-            # comparison with p clipped to [0, 1]
-            p_max = seg.max() * scale
-            if p_max < 1.0:
-                # rounding is monotone, so every bin with u < p has u < p_max
-                cand = np.flatnonzero(np.less(u[:m], p_max, out=below[:m]))
-                hit = cand[u[cand] < seg[cand] * scale]
-            else:
-                np.multiply(seg, scale, out=p[:m])
-                hit = np.flatnonzero(np.less(u[:m], p[:m], out=below[:m]))
-            found[a] = hit + a
-
-    with ThreadPoolExecutor(max_workers=_THIN_THREADS) as pool:
-        futures = [pool.submit(hits_in) for _ in range(_THIN_THREADS)]
-        found = {a: hit for f in futures for a, hit in f.result().items()}
-    hits = np.concatenate([found[a] for a in sorted(found)])
+    hits = np.concatenate(fan_out(hits_in, range(0, trace.size, _BLOCK),
+                                  _THIN_THREADS))
     rng = _rng_at(seed, trace.size)
     times = (hits + rng.random(hits.size)) * dt
     if det.jitter_sigma > 0:

@@ -22,9 +22,10 @@ Building a Bluestein plan costs about ten times more than applying it, so
 each thread keeps the plans of its last two (input grid, output grid,
 lambda*z, sign) keys: the pre-chirp phase, the CZT object and the
 post-chirp. A thread has at most two plans in flight (mask onto lags and
-lags onto detector in a pass of the analytic profile, one per leg of a
-Monte Carlo block, one per pass of a kernel map), so the bound grows with the number of workers and worker threads never evict each
-other's plans; a worker's plans go when its thread ends.
+lags onto detector in one pass of the analytic profile, or the two legs
+of a Monte Carlo block), so the bound grows with the number of workers
+and worker threads never evict each other's plans; a worker's plans go
+when its thread ends.
 
 Both sum over the last axis; leading axes (a block of realizations) are
 kept. A block row has the bits of a 1-D call only while 1-D temporaries

@@ -155,7 +155,7 @@ def _annotate(exc: GhostSimError, kind: str) -> GhostSimError:
 
 
 def _run_focused(cfg: ScenarioConfig, workers: int):
-    grids = spatial_grids(cfg, cfg.z2_values())
+    grids = spatial_grids(cfg)
     source = cfg.source()
     geom = cfg.geometry()
     mask = cfg.build_mask(grids.object)
@@ -168,7 +168,8 @@ def _run_focused(cfg: ScenarioConfig, workers: int):
                            seed=cfg.seed)
         profiles.append(mc)
     if cfg.method in ("analytic", "both"):
-        an = delta_g2_analytic(mask, source, geom, grids.detector)
+        an = delta_g2_analytic(mask, source, geom, grids.detector,
+                               detector_aperture=cfg.detector_aperture)
         an.metadata.update(role="analytic", z1=cfg.z1, z2=cfg.z2)
         profiles.append(an)
     if cfg.method == "both":
@@ -185,7 +186,7 @@ def _run_focused(cfg: ScenarioConfig, workers: int):
 
 def _run_sweep(cfg: ScenarioConfig, workers: int):
     z2_values = cfg.z2_values()
-    grids = spatial_grids(cfg, z2_values)
+    grids = spatial_grids(cfg)
     source = cfg.source()
     mask = cfg.build_mask(grids.object)
 
@@ -196,7 +197,8 @@ def _run_sweep(cfg: ScenarioConfig, workers: int):
             # survey accuracy: each row's quadrature stops once a halving
             # moves no point by more than 1e-5 of the row's peak
             row = delta_g2_analytic(mask, source, geom, grids.detector,
-                                    map_rtol=1e-5)
+                                    map_rtol=1e-5,
+                                    detector_aperture=cfg.detector_aperture)
         else:
             ecfg = _ensemble_config(cfg, grids,
                                     _substream(cfg.seed, index + 1))

@@ -4,11 +4,12 @@ Grammar, one statement per line:
 
     key = value        # '#' starts a comment, blank lines are ignored
 
-Keys are snake_case and strictly checked: unknown keys, keys that do not
-apply to the declared kind, and malformed or mis-suffixed values all raise
-ConfigError naming the offending line and key. Lengths accept m, cm, mm,
-um (or µm), nm, pm; times accept s, ms, us (or µs), ns, ps, fs; bare
-numbers are base SI. Counts and rates are plain numbers.
+Keys are the fields of ScenarioConfig (value type, kinds, default) and are
+strictly checked: unknown keys, keys that do not apply to the declared
+kind, and malformed or mis-suffixed values all raise ConfigError naming
+the offending line and key. Lengths accept m, cm, mm, um (or µm), nm, pm;
+times accept s, ms, us (or µs), ns, ps, fs; bare numbers are base SI.
+Counts and rates are plain numbers.
 
 Auto-sized grids (spatial_grids) follow two rules: windows cover 4x the
 mask extent plus the coherence-kernel width (and, for sweeps, the
@@ -26,7 +27,7 @@ dump_scenario emits the canonical form, and parse(dump(cfg)) == cfg.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -63,101 +64,69 @@ _MAX_POINTS = 1 << 20
 # bytes of one Monte Carlo record matrix (n_realizations x detector points)
 _RECORD_BUDGET = 1 << 30
 
-# key -> (value type, kinds the key applies to)
-_KEY_TABLE = {
-    "kind": ("enum:kind", KINDS),
-    "method": ("enum:method", KINDS),
-    "seed": ("int", KINDS),
-    "output": ("str", KINDS),
-    "wavelength": ("length", KINDS),
-    "source_profile": ("enum:profile", _SPATIAL),
-    "source_radius": ("length", _SPATIAL),
-    "coherence_time": ("time", KINDS),
-    "z1": ("length", _SPATIAL),
-    "z2": ("length", ("focused_image",)),
-    "z2_min": ("length", ("z2_sweep",)),
-    "z2_max": ("length", ("z2_sweep",)),
-    "z2_steps": ("int", ("z2_sweep",)),
-    "mask": ("enum:mask", _SPATIAL),
-    "mask_separation": ("length", _SPATIAL),
-    "mask_diameter_1": ("length", _SPATIAL),
-    "mask_diameter_2": ("length", _SPATIAL),
-    "mask_slit_width": ("length", _SPATIAL),
-    "mask_half_width": ("length", _SPATIAL),
-    "n_realizations": ("int", _SPATIAL),
-    "detector_aperture": ("length", _SPATIAL),
-    "detector_step": ("length", _SPATIAL),
-    "detector_span": ("length", _SPATIAL),
-    "detector_points": ("int", _SPATIAL),
-    "object_span": ("length", _SPATIAL),
-    "object_points": ("int", _SPATIAL),
-    "bucket_half_width": ("length", _SPATIAL),
-    "start_rate": ("float", ("hbt",)),
-    "stop_rate": ("float", ("hbt",)),
-    "hbt_dt": ("time", ("hbt",)),
-    "hbt_batch_duration": ("time", ("hbt",)),
-    "hbt_batches": ("int", ("hbt",)),
-    "hbt_bin_width": ("time", ("hbt",)),
-    "hbt_window": ("time", ("hbt",)),
-    "jitter_sigma": ("time", ("hbt",)),
-    "dead_time": ("time", ("hbt",)),
-}
-
-_ENUMS = {
-    "enum:kind": KINDS,
-    "enum:method": METHODS,
-    "enum:profile": ("uniform", "gaussian"),
-    "enum:mask": ("pinhole_pair", "double_slit", "uniform", "opaque"),
-}
-
 _MASK_PARAM_KEYS = {
     "pinhole_pair": ("mask_separation", "mask_diameter_1", "mask_diameter_2"),
     "double_slit": ("mask_separation", "mask_slit_width"),
     "uniform": ("mask_half_width",),
     "opaque": ("mask_half_width",),
 }
+# each mask parameter key once, in the order _MASK_PARAM_KEYS names them
+_MASK_KEYS = tuple(dict.fromkeys(sum(_MASK_PARAM_KEYS.values(), ())))
+
+_ENUMS = {
+    "enum:kind": KINDS,
+    "enum:method": METHODS,
+    "enum:profile": ("uniform", "gaussian"),
+    "enum:mask": tuple(_MASK_PARAM_KEYS),
+}
+
+
+def _key(vtype: str, kinds, default=None):
+    """One scenario key; a None default is left to the kind's resolver."""
+    return field(default=default, metadata={"vtype": vtype, "kinds": kinds})
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Fully resolved scenario. None marks fields the kind does not use."""
+    """Fully resolved scenario, and the scenario schema: one field per key,
+    in dump order. None marks fields the kind does not use."""
 
-    kind: str
-    method: str = "montecarlo"
-    seed: int = 12345
-    output: str = "ghostsim-out"
-    wavelength: float = 6.93e-7
-    source_profile: Optional[str] = None
-    source_radius: Optional[float] = None
-    coherence_time: Optional[float] = None
-    z1: Optional[float] = None
-    z2: Optional[float] = None
-    z2_min: Optional[float] = None
-    z2_max: Optional[float] = None
-    z2_steps: Optional[int] = None
-    mask: Optional[str] = None
-    mask_separation: Optional[float] = None
-    mask_diameter_1: Optional[float] = None
-    mask_diameter_2: Optional[float] = None
-    mask_slit_width: Optional[float] = None
-    mask_half_width: Optional[float] = None
-    n_realizations: Optional[int] = None
-    detector_aperture: Optional[float] = None
-    detector_step: Optional[float] = None
-    detector_span: Optional[float] = None
-    detector_points: Optional[int] = None
-    object_span: Optional[float] = None
-    object_points: Optional[int] = None
-    bucket_half_width: Optional[float] = None
-    start_rate: Optional[float] = None
-    stop_rate: Optional[float] = None
-    hbt_dt: Optional[float] = None
-    hbt_batch_duration: Optional[float] = None
-    hbt_batches: Optional[int] = None
-    hbt_bin_width: Optional[float] = None
-    hbt_window: Optional[float] = None
-    jitter_sigma: Optional[float] = None
-    dead_time: Optional[float] = None
+    kind: str = _key("enum:kind", KINDS, MISSING)
+    method: str = _key("enum:method", KINDS, "montecarlo")
+    seed: int = _key("int", KINDS, 12345)
+    output: str = _key("str", KINDS, "ghostsim-out")
+    wavelength: float = _key("length", KINDS, 6.93e-7)
+    source_profile: Optional[str] = _key("enum:profile", _SPATIAL)
+    source_radius: Optional[float] = _key("length", _SPATIAL)
+    coherence_time: Optional[float] = _key("time", KINDS)
+    z1: Optional[float] = _key("length", _SPATIAL)
+    z2: Optional[float] = _key("length", ("focused_image",))
+    z2_min: Optional[float] = _key("length", ("z2_sweep",))
+    z2_max: Optional[float] = _key("length", ("z2_sweep",))
+    z2_steps: Optional[int] = _key("int", ("z2_sweep",))
+    mask: Optional[str] = _key("enum:mask", _SPATIAL)
+    mask_separation: Optional[float] = _key("length", _SPATIAL)
+    mask_diameter_1: Optional[float] = _key("length", _SPATIAL)
+    mask_diameter_2: Optional[float] = _key("length", _SPATIAL)
+    mask_slit_width: Optional[float] = _key("length", _SPATIAL)
+    mask_half_width: Optional[float] = _key("length", _SPATIAL)
+    n_realizations: Optional[int] = _key("int", _SPATIAL)
+    detector_aperture: Optional[float] = _key("length", _SPATIAL)
+    detector_step: Optional[float] = _key("length", _SPATIAL)
+    detector_span: Optional[float] = _key("length", _SPATIAL)
+    detector_points: Optional[int] = _key("int", _SPATIAL)
+    object_span: Optional[float] = _key("length", _SPATIAL)
+    object_points: Optional[int] = _key("int", _SPATIAL)
+    bucket_half_width: Optional[float] = _key("length", _SPATIAL)
+    start_rate: Optional[float] = _key("float", ("hbt",))
+    stop_rate: Optional[float] = _key("float", ("hbt",))
+    hbt_dt: Optional[float] = _key("time", ("hbt",))
+    hbt_batch_duration: Optional[float] = _key("time", ("hbt",))
+    hbt_batches: Optional[int] = _key("int", ("hbt",))
+    hbt_bin_width: Optional[float] = _key("time", ("hbt",))
+    hbt_window: Optional[float] = _key("time", ("hbt",))
+    jitter_sigma: Optional[float] = _key("time", ("hbt",))
+    dead_time: Optional[float] = _key("time", ("hbt",))
 
     def source(self) -> SourceSpec:
         if self.source_profile == "gaussian":
@@ -198,6 +167,11 @@ class ScenarioConfig:
         return 2.0 * self.mask_half_width
 
 
+# key -> (value type, kinds the key applies to, default)
+_KEY_TABLE = {f.name: (f.metadata["vtype"], f.metadata["kinds"], f.default)
+              for f in fields(ScenarioConfig)}
+
+
 @dataclass(frozen=True)
 class SpatialGrids:
     source: TransverseGrid
@@ -217,9 +191,10 @@ def _points(span: float, dx: float, minimum: int = 16) -> int:
     return n
 
 
-def spatial_grids(cfg: ScenarioConfig, z2_values) -> SpatialGrids:
+def spatial_grids(cfg: ScenarioConfig) -> SpatialGrids:
     """Source, object and detector grids for a spatial scenario whose
-    detector sits at each distance in z2_values."""
+    detector sits at each distance in cfg.z2_values()."""
+    z2_values = cfg.z2_values()
     source = cfg.source()
     lam = cfg.wavelength
     z1 = cfg.z1
@@ -326,7 +301,7 @@ def _parse_value(vtype: str, raw: str, key: str, line: int):
     return _parse_number(raw, None, key, line)  # bare float
 
 
-def _require(values: dict, lines: dict, keys, context: str) -> None:
+def _require(values: dict, keys, context: str) -> None:
     for key in keys:
         if values.get(key) is None:
             raise ConfigError(f"missing required key for {context}", key=key)
@@ -359,8 +334,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
             raise ConfigError("duplicate key", line=lineno, key=key)
         if not raw:
             raise ConfigError("empty value", line=lineno, key=key)
-        vtype, _ = _KEY_TABLE[key]
-        values[key] = _parse_value(vtype, raw, key, lineno)
+        values[key] = _parse_value(_KEY_TABLE[key][0], raw, key, lineno)
         lines[key] = lineno
 
     if "kind" not in values:
@@ -371,10 +345,10 @@ def parse_scenario(text: str) -> ScenarioConfig:
             raise ConfigError(f"key does not apply to kind {kind!r}",
                               line=lines[key], key=key)
 
-    values.setdefault("method", "montecarlo")
-    values.setdefault("seed", 12345)
-    values.setdefault("output", "ghostsim-out")
-    values.setdefault("wavelength", 6.93e-7)
+    # kind, the one key without a default, is set by now
+    for key, (_, _, default) in _KEY_TABLE.items():
+        if default is not None:
+            values.setdefault(key, default)
     _positive(values, lines, ("wavelength",))
     if not 0 <= values["seed"] < 2**64:
         raise ConfigError("must be an unsigned 64-bit integer (0 <= seed < 2^64)",
@@ -393,7 +367,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
 
 def _check_record_budget(cfg: ScenarioConfig, lines: dict) -> None:
     try:
-        points = spatial_grids(cfg, cfg.z2_values()).detector.n_points
+        points = spatial_grids(cfg).detector.n_points
     except GhostSimError:
         return  # the run reports the unplannable geometry before allocating
     size = 8 * cfg.n_realizations * points
@@ -412,7 +386,7 @@ def check_montecarlo_sampling(cfg: ScenarioConfig) -> None:
     if cfg.kind == "hbt" or cfg.method == "analytic":
         return
     try:
-        g = spatial_grids(cfg, cfg.z2_values())
+        g = spatial_grids(cfg)
     except GhostSimError:
         return  # the run reports the unplannable geometry itself
     keys = [k for k in ("detector_step", "detector_points") if getattr(cfg, k)]
@@ -434,25 +408,21 @@ def _resolve_spatial(kind: str, values: dict, lines: dict) -> None:
             raise ConfigError("need at least 2 realizations",
                               key="n_realizations",
                               line=lines.get("n_realizations"))
-    _require(values, lines, ("source_radius", "z1", "mask"), f"kind {kind}")
+    _require(values, ("source_radius", "z1", "mask"), f"kind {kind}")
     values.setdefault("source_profile", "uniform")
     values.setdefault("coherence_time", 0.0)
     values.setdefault("detector_aperture", 0.0)
     _positive(values, lines, ("source_radius", "z1", "z2", "z2_min", "z2_max",
-                              "mask_separation", "mask_diameter_1",
-                              "mask_diameter_2", "mask_slit_width",
-                              "mask_half_width", "detector_step",
-                              "detector_span", "object_span",
-                              "bucket_half_width"))
-    if values["detector_aperture"] < 0 or values["coherence_time"] < 0:
-        key = ("detector_aperture" if values["detector_aperture"] < 0
-               else "coherence_time")
-        raise ConfigError("must be non-negative", key=key, line=lines.get(key))
+                              *_MASK_KEYS, "detector_step", "detector_span",
+                              "object_span", "bucket_half_width"))
+    for key in ("detector_aperture", "coherence_time"):
+        if values[key] < 0:
+            raise ConfigError("must be non-negative", key=key, line=lines.get(key))
 
     if kind == "focused_image":
-        _require(values, lines, ("z2",), "kind focused_image")
+        _require(values, ("z2",), "kind focused_image")
     else:
-        _require(values, lines, ("z2_min", "z2_max", "z2_steps"),
+        _require(values, ("z2_min", "z2_max", "z2_steps"),
                  "kind z2_sweep")
         if values["z2_min"] >= values["z2_max"]:
             raise ConfigError("sweep bounds must satisfy z2_min < z2_max",
@@ -463,9 +433,8 @@ def _resolve_spatial(kind: str, values: dict, lines: dict) -> None:
 
     mask = values["mask"]
     needed = _MASK_PARAM_KEYS[mask]
-    _require(values, lines, needed, f"mask {mask}")
-    for key in ("mask_separation", "mask_diameter_1", "mask_diameter_2",
-                "mask_slit_width", "mask_half_width"):
+    _require(values, needed, f"mask {mask}")
+    for key in _MASK_KEYS:
         if values.get(key) is not None and key not in needed:
             raise ConfigError(f"key does not apply to mask {mask!r}",
                               key=key, line=lines.get(key))
@@ -491,7 +460,7 @@ def _resolve_hbt(values: dict, lines: dict) -> None:
         raise ConfigError(
             "kind hbt has no analytic path; method must be montecarlo",
             key="method", line=lines.get("method"))
-    _require(values, lines, ("coherence_time",), "kind hbt")
+    _require(values, ("coherence_time",), "kind hbt")
     tau0 = values["coherence_time"]
     _positive(values, lines, ("coherence_time",))
     values.setdefault("hbt_dt", tau0 / 20.0)

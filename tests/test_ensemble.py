@@ -318,7 +318,7 @@ def records_one_at_a_time(mask, source, geom, cfg):
 
 def _fig2_case(n):
     cfg = gs.parse_scenario(preset_text("fig2"))
-    grids = scenario.spatial_grids(cfg, cfg.z2_values())
+    grids = scenario.spatial_grids(cfg)
     ecfg = gs.EnsembleConfig(
         n_realizations=n, master_seed=cfg.seed, source_grid=grids.source,
         object_grid=grids.object, detector_grid=grids.detector,

@@ -61,8 +61,6 @@ def test_predicted_speckle_size_uniform_only():
     src_g = gs.SourceSpec(LAM, gs.GaussianProfile(A))
     with pytest.raises(UnsupportedProfileError):
         gs.predicted_speckle_size(src_g, Z)
-    # the sizing heuristic still works for any profile
-    assert gs.coherence_scale(src_g, Z) > 0
 
 
 def test_kernel_swap_conjugate_symmetry():
@@ -221,7 +219,7 @@ def test_numerator_refinement_is_second_order():
     # fig3's row z2 = 0.37 m starts at n = 4819; with both end nodes on the
     # source edge the trapezoid error falls 4x per halving, not 2x
     cfg = gs.parse_scenario(preset_text("fig3"))
-    grids = spatial_grids(cfg, cfg.z2_values())
+    grids = spatial_grids(cfg)
     mask = cfg.build_mask(grids.object)
     w = np.abs(mask.t) ** 2 * coherence._trapezoid_weights(
         mask.grid.n_points, mask.grid.dx)
@@ -232,6 +230,30 @@ def test_numerator_refinement_is_second_order():
     steps = [np.max(np.abs(b - a)) for a, b in zip(vals, vals[1:])]
     for coarse, fine in zip(steps, steps[1:]):
         assert 3.5 < coarse / fine < 4.5
+
+
+def test_numerator_aperture_is_a_box_average():
+    # the per-lag sinc against the mean of the point-detector N over each
+    # aperture window, integrated on a 0.1 um grid
+    src = gs.SourceSpec(693e-9, gs.UniformProfile(2e-3))
+    geom = gs.OpticalGeometry(0.3, 0.33)
+    w = _slit_weights(MASK_GRID)
+    d = 60e-6
+    x2 = gs.make_grid(-0.2e-3, 0.2e-3, 41)
+    fine = gs.make_grid(-0.25e-3, 0.25e-3, 5001)
+    point = coherence.ghost_image_numerator(MASK_GRID, w, fine, src, geom)
+    got = coherence.ghost_image_numerator(MASK_GRID, w, x2, src, geom,
+                                          detector_aperture=d)
+    half = int(round(0.5 * d / fine.dx))
+    centres = np.rint((x2.x - fine.x_min) / fine.dx).astype(int)
+    expected = np.array([np.trapezoid(point[i - half:i + half + 1], dx=fine.dx)
+                         for i in centres]) / d
+    assert np.max(np.abs(got - expected)) <= 1e-6 * expected.max()
+    # the aperture flattens the image
+    assert got.max() < point.max()
+    with pytest.raises(InvalidArgumentError):
+        coherence.ghost_image_numerator(MASK_GRID, w, x2, src, geom,
+                                        detector_aperture=-d)
 
 
 def test_numerator_rejects_bad_weights():

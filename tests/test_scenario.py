@@ -27,6 +27,54 @@ def test_round_trip_preserves_custom_config(tiny_scenario_text):
     assert gs.parse_scenario(gs.dump_scenario(cfg)) == cfg
 
 
+# one valid value per scenario key; kind and mask come from the case
+_SAMPLE_VALUES = {
+    "method": "montecarlo", "seed": "7", "output": "sample-out",
+    "wavelength": "633 nm", "source_profile": "gaussian",
+    "source_radius": "1 mm", "coherence_time": "0.1 ns", "z1": "300 mm",
+    "z2": "310 mm", "z2_min": "250 mm", "z2_max": "350 mm", "z2_steps": "5",
+    "mask_separation": "200 um", "mask_diameter_1": "50 um",
+    "mask_diameter_2": "40 um", "mask_slit_width": "50 um",
+    "mask_half_width": "100 um", "n_realizations": "64",
+    "detector_aperture": "20 um", "detector_step": "10 um",
+    "detector_span": "1 mm", "detector_points": "33",
+    "object_span": "0.8 mm", "object_points": "257",
+    "bucket_half_width": "0.3 mm", "start_rate": "1e9", "stop_rate": "1e6",
+    "hbt_dt": "5 ps", "hbt_batch_duration": "40 us", "hbt_batches": "3",
+    "hbt_bin_width": "25 ps", "hbt_window": "1 ns", "jitter_sigma": "10 ps",
+    "dead_time": "1 ns",
+}
+_FULL_CASES = [(kind, mask) for kind in scenario._SPATIAL
+               for mask in scenario._MASK_PARAM_KEYS] + [("hbt", None)]
+
+
+@pytest.mark.parametrize("kind,mask", _FULL_CASES,
+                         ids=[f"{k}-{m}" if m else k for k, m in _FULL_CASES])
+def test_round_trip_with_every_key_set(kind, mask):
+    # every key the schema allows for this kind and mask, set explicitly
+    allowed = scenario._MASK_PARAM_KEYS.get(mask, ())
+    values = {"kind": kind, "mask": mask}
+    for f in dataclasses.fields(gs.ScenarioConfig):
+        if f.name in values or kind not in f.metadata["kinds"]:
+            continue
+        if f.name in scenario._MASK_KEYS and f.name not in allowed:
+            continue
+        values[f.name] = _SAMPLE_VALUES[f.name]
+    values = {k: v for k, v in values.items() if v is not None}
+    cfg = gs.parse_scenario("".join(f"{k} = {v}\n" for k, v in values.items()))
+    assert {k for k, v in dataclasses.asdict(cfg).items()
+            if v is not None} == set(values)
+    assert gs.parse_scenario(gs.dump_scenario(cfg)) == cfg
+
+
+def test_readme_names_every_scenario_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    missing = [f.name for f in dataclasses.fields(gs.ScenarioConfig)
+               if f"`{f.name}`" not in readme]
+    assert missing == []
+
+
 def test_focused_preset_reproduces_reference_geometry():
     cfg = gs.parse_scenario(preset_text("fig2"))
     assert cfg.kind == "focused_image"
@@ -124,7 +172,7 @@ def test_seed_override_out_of_range_is_config_error(tmp_path, capsys,
 
 def test_record_matrix_has_a_byte_budget(tmp_path, capsys, tiny_scenario_text):
     cfg = gs.parse_scenario(tiny_scenario_text)
-    points = scenario.spatial_grids(cfg, cfg.z2_values()).detector.n_points
+    points = scenario.spatial_grids(cfg).detector.n_points
     assert points == 41
     # many realizations on few detector points, and few on many: the budget
     # is on n_realizations x detector points x 8 B
@@ -163,9 +211,9 @@ def test_fig3_geometry_runs_by_montecarlo(tmp_path):
     text = preset_text("fig3").replace("method = analytic", "method = montecarlo")
     text += "n_realizations = 8\n"
     cfg = gs.parse_scenario(text)
-    assert scenario.spatial_grids(cfg, cfg.z2_values()).source.n_points == 2122
+    assert scenario.spatial_grids(cfg).source.n_points == 2122
     fig2 = gs.parse_scenario(preset_text("fig2"))
-    assert scenario.spatial_grids(fig2, fig2.z2_values()).source.n_points == 65
+    assert scenario.spatial_grids(fig2).source.n_points == 65
     scen = tmp_path / "fig3mc.scenario"
     scen.write_text(text)
     assert cli.main(["validate", str(scen)]) == 0
