@@ -95,13 +95,7 @@ def delta_g2_analytic(
     full width of the scanning detector, whose reading at x2 is its mean
     intensity over [x2 - D/2, x2 + D/2]; 0 is a point detector.
     """
-    a = source.effective_half_width()
-    limit = source.wavelength * geom.z1 / (4.0 * a)
-    if mask.grid.dx >= limit:
-        raise InvalidArgumentError(
-            f"mask grid spacing {mask.grid.dx:.6g} m cannot resolve the coherence "
-            f"kernel; need dx < lambda*z1/(4a) = {limit:.6g} m"
-        )
+    _check_kernel_resolved(mask.grid, source, geom.z1)
     t2 = np.abs(mask.t) ** 2
     if not np.any(t2 > 0):
         raise DegenerateStatisticsError("mask transmits nothing; delta_g2 undefined")
@@ -124,6 +118,17 @@ def delta_g2_analytic(
         normalization="fluctuation",
         metadata={"method": "analytic"},
     )
+
+
+def _check_kernel_resolved(grid: TransverseGrid, source: SourceSpec, z1: float) -> None:
+    """Raise unless the mask grid resolves the coherence kernel's transverse
+    structure: dx < lambda * z1 / (4 * a) for source half-width a."""
+    limit = source.wavelength * z1 / (4.0 * source.effective_half_width())
+    if grid.dx >= limit:
+        raise InvalidArgumentError(
+            f"mask grid spacing {grid.dx:.6g} m cannot resolve the coherence "
+            f"kernel; need dx < lambda*z1/(4a) = {limit:.6g} m"
+        )
 
 
 def g2_pointlike(

@@ -6,8 +6,12 @@
     ghostsim validate <scenario-file>
 
 Exit codes: 0 success, 2 configuration error, 3 numerical or
-degenerate-statistics error, 4 I/O error. --threads falls back to the
-GHOSTSIM_THREADS environment variable, then to 1.
+degenerate-statistics error, 4 I/O error. parse_scenario plans every
+spatial run (scenario.plan), so validate and run reject the same inputs
+with 2; 3 is left to what only the run itself can find, such as
+statistics that cannot be formed. Overrides (--seed, --method, --out)
+apply to a file that must be valid on its own. --threads falls back to
+the GHOSTSIM_THREADS environment variable, then to 1.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from pathlib import Path
 from .errors import ConfigError, GhostSimError
 from .runner import run_scenario
 from .output import export_results
-from .scenario import check_montecarlo_sampling, dump_scenario, parse_scenario
+from .scenario import dump_scenario, parse_scenario, plan
 
 __all__ = ["main"]
 
@@ -98,48 +102,31 @@ def _resolve_threads(cli_value) -> int:
     return n
 
 
+def _load(path: str):
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise OSError(f"cannot read {path}: {exc}") from exc
+    return parse_scenario(text)
+
+
 def _cmd_run(args) -> int:
-    try:
-        text = Path(args.scenario).read_text(encoding="utf-8")
-    except OSError as exc:
-        print(f"error: cannot read {args.scenario}: {exc}", file=sys.stderr)
-        return EXIT_IO
-    try:
-        threads = _resolve_threads(args.threads)
-        cfg = parse_scenario(text)
-        overrides = {}
-        if args.seed is not None:
-            overrides["seed"] = args.seed
-        if args.method is not None:
-            overrides["method"] = _METHOD_ALIASES[args.method]
-        if args.out is not None:
-            overrides["output"] = args.out
-        if overrides:
-            # re-validate the overridden config through the one validator
-            cfg = parse_scenario(dump_scenario(replace(cfg, **overrides)))
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    cfg = _load(args.scenario)
+    threads = _resolve_threads(args.threads)
+    overrides = {}
+    if args.seed is not None:
+        overrides["seed"] = args.seed
+    if args.method is not None:
+        overrides["method"] = _METHOD_ALIASES[args.method]
+    if args.out is not None:
+        overrides["output"] = args.out
+    if overrides:
+        # re-validate the overridden config through the one validator
+        cfg = parse_scenario(dump_scenario(replace(cfg, **overrides)))
 
-    try:
-        profiles, report = run_scenario(cfg, workers=threads)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except GhostSimError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except (FloatingPointError, ZeroDivisionError) as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-
-    try:
-        written = export_results(profiles, report, cfg.output)
-        _write_resolved(cfg, Path(cfg.output))
-    except OSError as exc:
-        print(f"I/O error writing results: {exc}", file=sys.stderr)
-        return EXIT_IO
-
+    profiles, report = run_scenario(cfg, workers=threads)
+    written = export_results(profiles, report, cfg.output)
+    _write_resolved(cfg, Path(cfg.output))
     for path in written:
         print(path)
     print(f"runtime: {report.runtime_seconds:.2f} s")
@@ -161,39 +148,41 @@ def _cmd_presets(args) -> int:
             print(name)
         return EXIT_OK
     if not args.name:
-        print("error: presets dump requires a name", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        sys.stdout.write(preset_text(args.name))
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError("presets dump requires a name")
+    sys.stdout.write(preset_text(args.name))
     return EXIT_OK
 
 
 def _cmd_validate(args) -> int:
-    try:
-        text = Path(args.scenario).read_text(encoding="utf-8")
-    except OSError as exc:
-        print(f"error: cannot read {args.scenario}: {exc}", file=sys.stderr)
-        return EXIT_IO
-    try:
-        cfg = parse_scenario(text)
-        check_montecarlo_sampling(cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    cfg = _load(args.scenario)
     print(f"OK: kind={cfg.kind} method={cfg.method} seed={cfg.seed}")
+    if cfg.kind != "hbt":
+        g = plan(cfg).grids
+        for name, grid in (("source", g.source), ("object", g.object),
+                           ("detector", g.detector),
+                           ("detector field", g.detector_field)):
+            if grid is not None:
+                print(f"{name} grid: {grid.n_points} points, "
+                      f"dx = {grid.dx:.6g} m")
     return EXIT_OK
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "presets":
-        return _cmd_presets(args)
-    return _cmd_validate(args)
+    command = {"run": _cmd_run, "presets": _cmd_presets,
+               "validate": _cmd_validate}[args.command]
+    # the one mapping from errors to exit codes
+    try:
+        return command(args)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except (GhostSimError, FloatingPointError, ZeroDivisionError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except OSError as exc:
+        print(f"I/O error: {exc}", file=sys.stderr)
+        return EXIT_IO
 
 
 if __name__ == "__main__":

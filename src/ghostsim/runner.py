@@ -1,13 +1,16 @@
 """Scenario execution: dispatch and metrics.
 
-Grids come from scenario.spatial_grids. All randomness is keyed by
-(seed, stream index), so results are identical for any worker count.
+A spatial run takes its grids, source and mask from scenario.plan, the
+same plan that parse_scenario checked, so a scenario that parsed fails
+here only on statistics or numerics, never on its set-up. All randomness
+is keyed by (seed, stream index), so results are identical for any worker
+count.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -24,8 +27,8 @@ from .coincidence import (
 )
 from .ensemble import (CorrelationProfile, EnsembleConfig,
                        delta_g2_montecarlo, fan_out)
-from .errors import GhostSimError, InvalidArgumentError, NotMeasurableError
-from .scenario import ScenarioConfig, SpatialGrids, spatial_grids
+from .errors import InvalidArgumentError, NotMeasurableError
+from .scenario import ScenarioConfig, SpatialGrids, plan
 
 __all__ = ["MetricsReport", "run_scenario", "sweep_matrix", "profile_metrics"]
 
@@ -52,16 +55,9 @@ class MetricsReport:
     tau_coherence_s: Optional[float] = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "visibility": self.visibility,
-            "peak_positions": list(self.peak_positions),
-            "peak_separation": self.peak_separation,
-            "fwhm_per_peak": list(self.fwhm_per_peak),
-            "g2_zero": self.g2_zero,
-            "contrast": self.contrast,
-            "tau_coherence_s": self.tau_coherence_s,
-        }
+        out = asdict(self)
+        del out["runtime_seconds"]
+        return out
 
 
 def profile_metrics(profile: CorrelationProfile) -> dict:
@@ -147,28 +143,19 @@ def _ensemble_config(cfg: ScenarioConfig, grids: SpatialGrids, seed: int) -> Ens
     )
 
 
-def _annotate(exc: GhostSimError, kind: str) -> GhostSimError:
-    try:
-        return type(exc)(f"{kind} scenario: {exc}")
-    except TypeError:  # exceptions with structured constructors
-        return exc
-
-
 def _run_focused(cfg: ScenarioConfig, workers: int):
-    grids = spatial_grids(cfg)
-    source = cfg.source()
+    p = plan(cfg)
     geom = cfg.geometry()
-    mask = cfg.build_mask(grids.object)
     profiles = []
     if cfg.method in ("montecarlo", "both"):
-        mc = delta_g2_montecarlo(mask, source, geom,
-                                 _ensemble_config(cfg, grids, cfg.seed),
+        mc = delta_g2_montecarlo(p.mask, p.source, geom,
+                                 _ensemble_config(cfg, p.grids, cfg.seed),
                                  n_workers=workers)
         mc.metadata.update(role="montecarlo", z1=cfg.z1, z2=cfg.z2,
                            seed=cfg.seed)
         profiles.append(mc)
     if cfg.method in ("analytic", "both"):
-        an = delta_g2_analytic(mask, source, geom, grids.detector,
+        an = delta_g2_analytic(p.mask, p.source, geom, p.grids.detector,
                                detector_aperture=cfg.detector_aperture)
         an.metadata.update(role="analytic", z1=cfg.z1, z2=cfg.z2)
         profiles.append(an)
@@ -186,9 +173,7 @@ def _run_focused(cfg: ScenarioConfig, workers: int):
 
 def _run_sweep(cfg: ScenarioConfig, workers: int):
     z2_values = cfg.z2_values()
-    grids = spatial_grids(cfg)
-    source = cfg.source()
-    mask = cfg.build_mask(grids.object)
+    p = plan(cfg)
 
     def one_row(index: int) -> CorrelationProfile:
         z2 = float(z2_values[index])
@@ -196,13 +181,13 @@ def _run_sweep(cfg: ScenarioConfig, workers: int):
         if cfg.method == "analytic":
             # survey accuracy: each row's quadrature stops once a halving
             # moves no point by more than 1e-5 of the row's peak
-            row = delta_g2_analytic(mask, source, geom, grids.detector,
+            row = delta_g2_analytic(p.mask, p.source, geom, p.grids.detector,
                                     map_rtol=1e-5,
                                     detector_aperture=cfg.detector_aperture)
         else:
-            ecfg = _ensemble_config(cfg, grids,
+            ecfg = _ensemble_config(cfg, p.grids,
                                     _substream(cfg.seed, index + 1))
-            row = delta_g2_montecarlo(mask, source, geom, ecfg)
+            row = delta_g2_montecarlo(p.mask, p.source, geom, ecfg)
         row.metadata.update(role="sweep", z1=cfg.z1, z2=z2, row=index)
         return row
 
@@ -262,22 +247,17 @@ def run_scenario(cfg: ScenarioConfig, workers: int = 1):
     if workers < 1:
         raise InvalidArgumentError("workers must be at least 1")
     t0 = time.perf_counter()
-    try:
-        if cfg.kind == "focused_image":
-            profiles = _run_focused(cfg, workers)
-        elif cfg.kind == "z2_sweep":
-            profiles = _run_sweep(cfg, workers)
-        elif cfg.kind == "hbt":
-            profiles = _run_hbt(cfg, workers)
-        else:
-            raise InvalidArgumentError(f"unknown scenario kind {cfg.kind!r}")
-    except NotMeasurableError:
-        raise
-    except GhostSimError as exc:
-        raise _annotate(exc, cfg.kind) from exc
+    if cfg.kind == "focused_image":
+        profiles = _run_focused(cfg, workers)
+    elif cfg.kind == "z2_sweep":
+        profiles = _run_sweep(cfg, workers)
+    elif cfg.kind == "hbt":
+        profiles = _run_hbt(cfg, workers)
+    else:
+        raise InvalidArgumentError(f"unknown scenario kind {cfg.kind!r}")
 
-    report = MetricsReport(method=cfg.method, runtime_seconds=0.0)
     if cfg.kind == "hbt":
+        report = MetricsReport(method=cfg.method, runtime_seconds=0.0)
         hist = profiles[0]
         est = estimate_g2(hist)
         report.g2_zero = float(est.g2_zero)
@@ -287,10 +267,7 @@ def run_scenario(cfg: ScenarioConfig, workers: int = 1):
         except NotMeasurableError:
             report.tau_coherence_s = None
     else:
-        stats = profile_metrics(primary_profile(profiles))
-        report.visibility = stats["visibility"]
-        report.peak_positions = stats["peak_positions"]
-        report.peak_separation = stats["peak_separation"]
-        report.fwhm_per_peak = stats["fwhm_per_peak"]
+        report = MetricsReport(method=cfg.method, runtime_seconds=0.0,
+                               **profile_metrics(primary_profile(profiles)))
     report.runtime_seconds = time.perf_counter() - t0
     return profiles, report

@@ -15,10 +15,12 @@ Auto-sized grids (spatial_grids) follow two rules: windows cover 4x the
 mask extent plus the coherence-kernel width (and, for sweeps, the
 geometric defocus spread of the source), and every grid spacing satisfies
 the Fresnel sampling criterion with a few percent of margin. Explicit
-spans/steps/points from the scenario override the defaults. A Monte Carlo
-run holds an n_realizations x detector-points matrix of float64
-intensities (one per sweep row in flight); a scenario whose matrix would
-exceed 1 GiB is rejected.
+spans/steps/points from the scenario override the defaults. plan() builds
+a spatial run's grids, source and mask and rejects what the run would fail
+on: grid sizes, Monte Carlo records (n_realizations x detector points of
+float64, one matrix per sweep row in flight) over 1 GiB, Fresnel aliasing,
+a dark bucket window, an unresolved coherence kernel. parse_scenario and
+the runner both call it.
 
 parse_scenario returns a fully resolved ScenarioConfig (defaults filled);
 dump_scenario emits the canonical form, and parse(dump(cfg)) == cfg.
@@ -32,8 +34,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (ConfigError, GhostSimError, InvalidArgumentError,
-                     SamplingCriterionError)
+from .analytic import _check_kernel_resolved
+from .errors import ConfigError, InvalidArgumentError, SamplingCriterionError
 from .grid import TransverseGrid, make_grid
 from .optics import (
     GaussianProfile,
@@ -44,7 +46,8 @@ from .optics import (
     _check_sampling,
 )
 
-__all__ = ["ScenarioConfig", "parse_scenario", "dump_scenario", "KINDS", "METHODS"]
+__all__ = ["ScenarioConfig", "RunPlan", "plan", "parse_scenario",
+           "dump_scenario", "KINDS", "METHODS"]
 
 KINDS = ("focused_image", "z2_sweep", "hbt")
 METHODS = ("montecarlo", "analytic", "both")
@@ -68,7 +71,6 @@ _MASK_PARAM_KEYS = {
     "pinhole_pair": ("mask_separation", "mask_diameter_1", "mask_diameter_2"),
     "double_slit": ("mask_separation", "mask_slit_width"),
     "uniform": ("mask_half_width",),
-    "opaque": ("mask_half_width",),
 }
 # each mask parameter key once, in the order _MASK_PARAM_KEYS names them
 _MASK_KEYS = tuple(dict.fromkeys(sum(_MASK_PARAM_KEYS.values(), ())))
@@ -153,9 +155,7 @@ class ScenarioConfig:
         if self.mask == "double_slit":
             return TransmissionMask.double_slit(
                 grid, self.mask_slit_width, self.mask_separation)
-        if self.mask == "uniform":
-            return TransmissionMask.uniform(grid)
-        return TransmissionMask.opaque(grid)
+        return TransmissionMask.uniform(grid)
 
     def mask_extent(self) -> float:
         """Full transverse extent of the mask's transmitting features."""
@@ -184,7 +184,7 @@ class SpatialGrids:
 def _points(span: float, dx: float, minimum: int = 16) -> int:
     n = max(minimum, int(np.ceil(span / dx)) + 1)
     if n > _MAX_POINTS:
-        raise InvalidArgumentError(
+        raise ConfigError(
             f"auto-sized grid needs {n} points (> {_MAX_POINTS}); "
             "the geometry is too demanding for this configuration"
         )
@@ -193,7 +193,8 @@ def _points(span: float, dx: float, minimum: int = 16) -> int:
 
 def spatial_grids(cfg: ScenarioConfig) -> SpatialGrids:
     """Source, object and detector grids for a spatial scenario whose
-    detector sits at each distance in cfg.z2_values()."""
+    detector sits at each distance in cfg.z2_values(); ConfigError where
+    a grid cannot be built."""
     z2_values = cfg.z2_values()
     source = cfg.source()
     lam = cfg.wavelength
@@ -242,6 +243,9 @@ def spatial_grids(cfg: ScenarioConfig) -> SpatialGrids:
 
     if cfg.detector_step:
         m = int(np.floor(det_half / cfg.detector_step + 1e-9))
+        if m < 1:
+            raise ConfigError("exceeds half the detector span",
+                              key="detector_step")
         detector = make_grid(-m * cfg.detector_step, m * cfg.detector_step,
                              2 * m + 1)
     elif cfg.detector_points:
@@ -258,10 +262,76 @@ def spatial_grids(cfg: ScenarioConfig) -> SpatialGrids:
                                    _points(2.0 * f_half, dx_f))
 
     if cfg.bucket_half_width:
-        bucket = (-cfg.bucket_half_width, cfg.bucket_half_width)
+        # nothing lights the object plane outside its grid
+        bucket = (max(-cfg.bucket_half_width, object_grid.x_min),
+                  min(cfg.bucket_half_width, object_grid.x_max))
     else:
         bucket = (object_grid.x_min, object_grid.x_max)
     return SpatialGrids(source_grid, object_grid, detector, detector_field, bucket)
+
+
+@dataclass(frozen=True)
+class RunPlan:
+    """What a spatial run propagates: its grids, its source and its mask,
+    the mask already dark outside the bucket window."""
+
+    grids: SpatialGrids
+    source: SourceSpec
+    mask: TransmissionMask
+
+
+def plan(cfg: ScenarioConfig, lines: Optional[dict] = None) -> RunPlan:
+    """Plan a spatial scenario's run. Raises ConfigError for any scenario
+    the run would fail on, naming the scenario key that set the failing
+    quantity, if one did, and its line from lines (key -> line number)."""
+    lines = lines or {}
+    grids = spatial_grids(cfg)
+
+    if cfg.method != "analytic":
+        # before anything is allocated on the detector grid
+        points = grids.detector.n_points
+        size = 8 * cfg.n_realizations * points
+        if size > _RECORD_BUDGET:
+            raise ConfigError(
+                f"{cfg.n_realizations} realizations x {points} detector points "
+                f"need {size / 2**20:.0f} MiB of float64 records, over the "
+                f"{_RECORD_BUDGET >> 20} MiB budget",
+                key="n_realizations", line=lines.get("n_realizations"))
+        # fresnel_propagate's check on each leg: to the object, and to the
+        # detector at every z2
+        keys = [k for k in ("detector_step", "detector_points") if getattr(cfg, k)]
+        key2 = None if grids.detector_field or not keys else keys[0]
+        legs = [(cfg.z1, grids.object,
+                 "object_points" if cfg.object_points else None)]
+        legs += [(z2, grids.detector_field or grids.detector, key2)
+                 for z2 in cfg.z2_values()]
+        for z, out, key in legs:
+            try:
+                _check_sampling(z, cfg.wavelength, grids.source, out)
+            except SamplingCriterionError as exc:
+                raise ConfigError(f"Monte Carlo leg to z = {z:.6g} m: {exc}",
+                                  key=key, line=lines.get(key)) from exc
+
+    # The bucket integrates the mask over its window only; the Monte Carlo
+    # sum reads nothing outside it, and the analytic route must not either.
+    source = cfg.source()
+    mask = cfg.build_mask(grids.object)
+    i0, i1 = grids.object.index_range(*grids.bucket)
+    mask.t[:i0] = 0.0
+    mask.t[i1:] = 0.0
+    if not np.any(mask.t):
+        key = "bucket_half_width" if cfg.bucket_half_width else "mask"
+        raise ConfigError("the mask transmits nothing inside the bucket window",
+                          key=key, line=lines.get(key))
+
+    if cfg.method != "montecarlo":
+        try:
+            _check_kernel_resolved(grids.object, source, cfg.z1)
+        except InvalidArgumentError as exc:
+            key = "object_points" if cfg.object_points else None
+            raise ConfigError(f"analytic route: {exc}", key=key,
+                              line=lines.get(key)) from exc
+    return RunPlan(grids, source, mask)
 
 
 def _parse_number(raw: str, units: Optional[dict], key: str, line: int) -> float:
@@ -360,45 +430,9 @@ def parse_scenario(text: str) -> ScenarioConfig:
         _resolve_spatial(kind, values, lines)
 
     cfg = ScenarioConfig(**values)
-    if kind != "hbt" and cfg.method != "analytic":
-        _check_record_budget(cfg, lines)
+    if kind != "hbt":
+        plan(cfg, lines)
     return cfg
-
-
-def _check_record_budget(cfg: ScenarioConfig, lines: dict) -> None:
-    try:
-        points = spatial_grids(cfg).detector.n_points
-    except GhostSimError:
-        return  # the run reports the unplannable geometry before allocating
-    size = 8 * cfg.n_realizations * points
-    if size > _RECORD_BUDGET:
-        raise ConfigError(
-            f"{cfg.n_realizations} realizations x {points} detector points "
-            f"need {size / 2**20:.0f} MiB of float64 records, over the "
-            f"{_RECORD_BUDGET >> 20} MiB budget",
-            key="n_realizations", line=lines.get("n_realizations"))
-
-
-def check_montecarlo_sampling(cfg: ScenarioConfig) -> None:
-    """Raise ConfigError where fresnel_propagate would refuse a Monte Carlo
-    leg of the planned run (to the object, to the detector at every z2),
-    naming the scenario key that set the grid, if one did."""
-    if cfg.kind == "hbt" or cfg.method == "analytic":
-        return
-    try:
-        g = spatial_grids(cfg)
-    except GhostSimError:
-        return  # the run reports the unplannable geometry itself
-    keys = [k for k in ("detector_step", "detector_points") if getattr(cfg, k)]
-    key2 = None if g.detector_field or not keys else keys[0]
-    legs = [(cfg.z1, g.object, "object_points" if cfg.object_points else None)]
-    legs += [(z2, g.detector_field or g.detector, key2) for z2 in cfg.z2_values()]
-    for z, out, key in legs:
-        try:
-            _check_sampling(z, cfg.wavelength, g.source, out)
-        except SamplingCriterionError as exc:
-            raise ConfigError(f"Monte Carlo leg to z = {z:.6g} m: {exc}",
-                              key=key) from exc
 
 
 def _resolve_spatial(kind: str, values: dict, lines: dict) -> None:
@@ -462,7 +496,8 @@ def _resolve_hbt(values: dict, lines: dict) -> None:
             key="method", line=lines.get("method"))
     _require(values, ("coherence_time",), "kind hbt")
     tau0 = values["coherence_time"]
-    _positive(values, lines, ("coherence_time",))
+    # the defaults below divide by these
+    _positive(values, lines, ("coherence_time", "hbt_dt", "hbt_window"))
     values.setdefault("hbt_dt", tau0 / 20.0)
     values.setdefault("hbt_batch_duration", 8_000_000 * values["hbt_dt"])
     values.setdefault("hbt_batches", 84)
@@ -472,9 +507,8 @@ def _resolve_hbt(values: dict, lines: dict) -> None:
     values.setdefault("dead_time", 0.0)
     values.setdefault("start_rate", 0.09 / values["hbt_dt"])
     values.setdefault("stop_rate", 0.009 / values["hbt_window"])
-    _positive(values, lines, ("hbt_dt", "hbt_batch_duration", "hbt_batches",
-                              "hbt_bin_width", "hbt_window", "start_rate",
-                              "stop_rate"))
+    _positive(values, lines, ("hbt_batch_duration", "hbt_batches",
+                              "hbt_bin_width", "start_rate", "stop_rate"))
     for key in ("jitter_sigma", "dead_time"):
         if values[key] < 0:
             raise ConfigError("must be non-negative", key=key,

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import ghostsim as gs
+from ghostsim import cli
 from ghostsim.cli import preset_text
 
 
@@ -164,13 +165,29 @@ def test_cli_bad_config_is_config_error(tmp_path):
     assert "bogus_key" in res.stderr
 
 
-def test_cli_numerical_failure_is_numeric_error(tmp_path, tiny_scenario_text):
-    # explicit grids too coarse for the requested span: propagation refuses
+def test_cli_aliasing_grid_is_config_error(tmp_path, tiny_scenario_text):
+    # explicit grids too coarse for the requested span: the plan refuses
+    # them at parse, before the run would
     scen = tmp_path / "alias.scenario"
     scen.write_text(tiny_scenario_text + "object_span = 8 mm\nobject_points = 64\n")
     res = run_cli("run", str(scen), "--out", str(tmp_path / "x"))
-    assert res.returncode == 3
+    assert res.returncode == 2
     assert "alias" in res.stderr
+    assert "key 'object_points'" in res.stderr
+
+
+def test_cli_numerical_failure_is_numeric_error(tmp_path, capsys, monkeypatch,
+                                                tiny_scenario_text):
+    # a failure only the run itself can find: statistics that cannot be formed
+    def degenerate(cfg, workers=1):
+        raise gs.DegenerateStatisticsError("bucket detector saw no light")
+
+    monkeypatch.setattr(cli, "run_scenario", degenerate)
+    scen = tmp_path / "tiny.scenario"
+    scen.write_text(tiny_scenario_text)
+    assert cli.main(["run", str(scen), "--out", str(tmp_path / "x")]) == 3
+    assert "saw no light" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_cli_validate(tmp_path, tiny_scenario_text):

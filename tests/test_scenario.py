@@ -238,10 +238,11 @@ def test_validate_rejects_an_aliasing_montecarlo_leg(tmp_path, capsys,
         assert cli.main(["validate", str(scen)]) == 2
         err = capsys.readouterr().err
         assert f"key '{key}'" in err and "alias" in err
-    # the run makes the same check at run time
+    # the run parses through the same plan and gives the same verdict
     scen.write_text(no_aperture)
-    assert cli.main(["run", str(scen), "--out", str(tmp_path / "out")]) == 3
-    assert "alias" in capsys.readouterr().err
+    assert cli.main(["run", str(scen), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "key 'detector_step'" in err and "alias" in err
     # the analytic arm propagates no field on these grids
     scen.write_text(no_aperture.replace("method = montecarlo", "method = analytic"))
     assert cli.main(["validate", str(scen)]) == 0
@@ -309,6 +310,16 @@ def test_hbt_step_must_resolve_coherence_time():
     text = preset_text("hbt").replace("hbt_dt = 5 ps", "hbt_dt = 50 ps")
     with pytest.raises(ConfigError):
         gs.parse_scenario(text)
+
+
+@pytest.mark.parametrize("key,old,new", [("hbt_dt", "5 ps", "0 ps"),
+                                         ("hbt_window", "1.8 ns", "0 ns")])
+def test_hbt_zero_step_or_window_is_a_config_error(key, old, new):
+    # the default rates divide by both, so they are checked first
+    text = preset_text("hbt").replace(f"{key} = {old}", f"{key} = {new}")
+    with pytest.raises(ConfigError) as exc:
+        gs.parse_scenario(text)
+    assert exc.value.key == key and "positive" in str(exc.value)
 
 
 def test_analytic_method_invalid_for_hbt():
