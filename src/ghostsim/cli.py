@@ -124,6 +124,8 @@ def _cmd_run(args) -> int:
         # re-validate the overridden config through the one validator
         cfg = parse_scenario(dump_scenario(replace(cfg, **overrides)))
 
+    if cfg.kind == "hbt":
+        import scipy.signal  # noqa: F401  (loaded in set-up, not in the run)
     profiles, report = run_scenario(cfg, workers=threads)
     written = export_results(profiles, report, cfg.output)
     _write_resolved(cfg, Path(cfg.output))

@@ -34,7 +34,6 @@ from typing import NamedTuple
 
 import numpy as np
 from numpy.random import Generator, Philox
-from scipy.signal import lfilter
 
 from .ensemble import fan_out
 from .errors import (
@@ -159,6 +158,8 @@ def simulate_intensity_trace(
     sequential stream in the order a single whole-trace draw would take
     them, so the trace does not depend on block size or thread count.
     """
+    from scipy.signal import lfilter  # slow to import; only HBT runs need it
+
     if tau0 <= 0 or duration <= 0 or dt <= 0:
         raise InvalidArgumentError("tau0, duration, and dt must be positive")
     if dt > tau0 / 10.0 * (1.0 + 1e-12):

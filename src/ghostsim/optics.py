@@ -16,11 +16,12 @@ Two execution paths compute the same finite sum:
 * ``method="fast"``    chirp factoring
   exp(i*pi*(x-y)^2/(lz)) = exp(i*pi*x^2/lz) * exp(i*pi*y^2/lz) * exp(-2i*pi*x*y/lz)
   which turns the sum into a chirp-z transform between the two grids
-  (Bluestein, O((N+M) log(N+M)) via scipy.signal.CZT).
+  (Bluestein, O((N+M) log(N+M)) via _Bluestein, a private plan with the
+  bits of scipy.signal.CZT that leaves the slow scipy.signal import out).
 
 Building a Bluestein plan costs about ten times more than applying it, so
 each thread keeps the plans of its last two (input grid, output grid,
-lambda*z, sign) keys: the pre-chirp phase, the CZT object and the
+lambda*z, sign) keys: the pre-chirp phase, the _Bluestein plan and the
 post-chirp. A thread has at most two plans in flight (mask onto lags and
 lags onto detector in one pass of the analytic profile, or the two legs
 of a Monte Carlo block), so the bound grows with the number of workers
@@ -40,12 +41,12 @@ windows is an aliasing error, never a warning.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Union
 
 import numpy as np
-from scipy.signal import CZT
+from scipy.fft import fft, ifft, next_fast_len
 
 from .errors import (
     GridMismatchError,
@@ -326,6 +327,24 @@ def chirp_kernel_sum(
     return post * spectrum
 
 
+class _Bluestein:
+    """Chirp-z transform of n inputs onto m outputs, z_k = a * w**-k, over the
+    last axis: scipy.signal.CZT's (1.17) expressions in its order, so its bits."""
+
+    def __init__(self, n: int, m: int, w: complex, a: complex) -> None:
+        k = np.arange(max(m, n), dtype=np.min_scalar_type(-max(m, n)**2))
+        wk2 = w**(k**2/2.)
+        self._Awk2 = (1.0*a)**-k[:n] * wk2[:n]
+        self._nfft = next_fast_len(n + m - 1)
+        self._Fwk2 = fft(1/np.hstack((wk2[n-1:0:-1], wk2[:m])), self._nfft)
+        self._wk2 = wk2[:m]
+        self._yidx = slice(n - 1, n + m - 1)
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        y = ifft(self._Fwk2 * fft(x*self._Awk2, self._nfft))
+        return y[..., self._yidx] * self._wk2
+
+
 _local = threading.local()
 
 
@@ -340,7 +359,7 @@ def _thread_plans():
 
 def _chirp_plan(
     in_grid: TransverseGrid, out_grid: TransverseGrid, lambda_z: float, sign: int
-) -> tuple[np.ndarray, CZT, np.ndarray]:
+) -> tuple[np.ndarray, _Bluestein, np.ndarray]:
     """Pre-chirp phase, Bluestein plan and post-chirp of one fast chirp sum."""
     s, gamma = float(sign), 1.0 / lambda_z
     phase = (s * 1j * np.pi * gamma) * in_grid.x**2
@@ -349,7 +368,7 @@ def _chirp_plan(
     y = out_grid.x
     post = np.exp((s * 1j * np.pi * gamma) * y**2
                   - (s * 2j * np.pi * gamma * in_grid.x_min) * y)
-    return phase, CZT(in_grid.n_points, out_grid.n_points, w, a), post
+    return phase, _Bluestein(in_grid.n_points, out_grid.n_points, w, a), post
 
 
 def fresnel_propagate(

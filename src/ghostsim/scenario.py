@@ -155,7 +155,7 @@ class ScenarioConfig:
         if self.mask == "double_slit":
             return TransmissionMask.double_slit(
                 grid, self.mask_slit_width, self.mask_separation)
-        return TransmissionMask.uniform(grid)
+        return TransmissionMask(grid, np.abs(grid.x) <= self.mask_half_width)
 
     def mask_extent(self) -> float:
         """Full transverse extent of the mask's transmitting features."""

@@ -4,7 +4,7 @@ import threading
 
 import numpy as np
 import pytest
-from scipy.signal import czt
+from scipy.signal import CZT, czt
 
 import ghostsim as gs
 from ghostsim import InvalidArgumentError, SamplingCriterionError, optics
@@ -172,6 +172,23 @@ def test_cached_plan_matches_per_call_plan_bitwise(n, sign):
     assert (info.misses, info.hits) == (1, 1)
     assert np.array_equal(cold, ref)
     assert np.array_equal(cached, ref)
+
+
+@pytest.mark.parametrize("n, m", [(65, 829), (65, 528), (2048, 49), (16383, 3362),
+                                  (16385, 3362), (77089, 3362), (1, 1), (7, 3)])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_private_plan_has_the_bits_of_scipy_czt(n, m, sign):
+    # w and a as the fast chirp sum builds them: a 2 mm input window onto
+    # an 8 mm output window starting at -4 mm, lambda*z = 1.7 m * 693 nm
+    s, gamma = float(sign), 1.0 / (LAM * 1.7)
+    dx_in, dx_out = 2e-3 / n, 8e-3 / m
+    w = np.exp(-s * 2j * np.pi * gamma * dx_in * dx_out)
+    a = np.exp(s * 2j * np.pi * gamma * dx_in * -4e-3)
+    rng = np.random.default_rng(n + m)
+    block = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
+    plan, ref = optics._Bluestein(n, m, w, a), CZT(n, m, w, a)
+    assert np.array_equal(plan(block[0]), ref(block[0]))
+    assert np.array_equal(plan(block), ref(block))
 
 
 def test_each_worker_keeps_its_plan_among_many():

@@ -1,0 +1,95 @@
+"""Import hygiene: what start-up loads, and no import left unused in src/."""
+
+import ast
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import ghostsim as gs
+
+SRC = Path(gs.__file__).resolve().parent
+
+# Runs `ghostsim run` on each scenario with run_scenario replaced by a probe
+# that records whether scipy.signal is loaded at the call, then stops.
+PROBE = """\
+import json, sys
+import ghostsim.cli as cli
+seen = {"start": sorted(m for m in ("scipy.signal", "scipy.stats") if m in sys.modules)}
+def probe(cfg, workers=1):
+    seen[cfg.kind] = "scipy.signal" in sys.modules
+    raise SystemExit(0)
+cli.run_scenario = probe
+for path in sys.argv[1:]:
+    try:
+        cli.main(["run", path])
+    except SystemExit:
+        pass
+print(json.dumps(seen))
+"""
+
+TINY_HBT = """\
+kind = hbt
+coherence_time = 0.1 ns
+hbt_dt = 5 ps
+hbt_batch_duration = 40 us
+hbt_batches = 2
+hbt_bin_width = 0.025 ns
+hbt_window = 1.8 ns
+start_rate = 1.8e10
+stop_rate = 5e6
+"""
+
+
+def test_startup_leaves_scipy_signal_to_hbt_runs(tmp_path, tiny_scenario_text):
+    # a fresh process: this one has scipy.signal already, via test_fresnel
+    spatial, hbt = tmp_path / "tiny.scenario", tmp_path / "hbt.scenario"
+    spatial.write_text(tiny_scenario_text, encoding="utf-8")
+    hbt.write_text(TINY_HBT, encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    res = subprocess.run([sys.executable, "-c", PROBE, str(spatial), str(hbt)],
+                         capture_output=True, text=True, env=env, cwd=tmp_path,
+                         check=True)
+    seen = json.loads(res.stdout.splitlines()[-1])
+    assert seen == {"start": [], "focused_image": False, "hbt": True}
+
+
+def _module_names(node, local=frozenset()):
+    """Names read in node that are not bound locally by an enclosing
+    function (a parameter ``field`` does not use an imported ``field``)."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        a = node.args
+        params = a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
+        local = local | {p.arg for p in params if p is not None} | {
+            n.id for n in ast.walk(node)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+    if isinstance(node, ast.Name) and node.id not in local:
+        yield node.id
+    for child in ast.iter_child_nodes(node):
+        yield from _module_names(child, local)
+
+
+def _unused_imports(path: Path) -> list:
+    source = path.read_text(encoding="utf-8")
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    used = set(_module_names(tree))
+    # names re-exported through __all__ count as used
+    used |= {c.value for n in ast.walk(tree) if isinstance(n, ast.Assign)
+             and any(isinstance(t, ast.Name) and t.id == "__all__" for t in n.targets)
+             for c in ast.walk(n.value) if isinstance(c, ast.Constant)}
+    unused = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in used and "# noqa" not in lines[alias.lineno - 1]:
+                    unused.append(f"{path.name}:{alias.lineno} {name}")
+    return unused
+
+
+def test_no_unused_imports_in_src():
+    assert [u for p in sorted(SRC.glob("*.py")) for u in _unused_imports(p)] == []

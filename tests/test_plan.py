@@ -72,6 +72,16 @@ def test_analytic_route_integrates_only_the_bucket_window():
     assert np.array_equal(uncut.std_err, mc.std_err)
 
 
+def test_uniform_mask_is_clear_within_its_half_width():
+    text = (TINY_SCENARIO.replace("mask = double_slit", "mask = uniform")
+            .replace("mask_slit_width = 150 um\nmask_separation = 350 um",
+                     "mask_half_width = 100 um"))
+    p = scenario.plan(gs.parse_scenario(text))
+    x = p.grids.object.x
+    assert np.array_equal(p.mask.t, (np.abs(x) <= 100e-6).astype(complex))
+    assert np.any(np.abs(x) > 100e-6)  # the grid reaches past the opening
+
+
 def _pick(draw, *values):
     return draw(st.sampled_from(values))
 
