@@ -18,7 +18,6 @@ from .grid import ComplexField, TransverseGrid, make_grid
 from .optics import (
     GaussianProfile,
     OpticalGeometry,
-    SampledProfile,
     SourceSpec,
     TransmissionMask,
     UniformProfile,
@@ -30,7 +29,6 @@ from .coherence import coherence_kernel_map, mutual_coherence_kernel
 from .ensemble import (
     CorrelationProfile,
     EnsembleConfig,
-    IntensityRecord,
     delta_g2_montecarlo,
     draw_source_realization,
     simulate_realization,
@@ -70,13 +68,11 @@ __all__ = [
     "GaussianProfile",
     "GhostSimError",
     "GridMismatchError",
-    "IntensityRecord",
     "InvalidArgumentError",
     "MetricsReport",
     "NotMeasurableError",
     "OpticalGeometry",
     "PointlikeObject",
-    "SampledProfile",
     "SamplingCriterionError",
     "ScenarioConfig",
     "SourceSpec",

@@ -115,7 +115,6 @@ def delta_g2_analytic(
         delta_g2=delta,
         std_err=np.zeros_like(delta),
         n_realizations=0,
-        normalization="fluctuation",
         metadata={"method": "analytic"},
     )
 
@@ -123,7 +122,7 @@ def delta_g2_analytic(
 def _check_kernel_resolved(grid: TransverseGrid, source: SourceSpec, z1: float) -> None:
     """Raise unless the mask grid resolves the coherence kernel's transverse
     structure: dx < lambda * z1 / (4 * a) for source half-width a."""
-    limit = source.wavelength * z1 / (4.0 * source.effective_half_width())
+    limit = source.wavelength * z1 / (4.0 * source.profile.half_width)
     if grid.dx >= limit:
         raise InvalidArgumentError(
             f"mask grid spacing {grid.dx:.6g} m cannot resolve the coherence "

@@ -42,7 +42,6 @@ from .optics import (
 
 __all__ = [
     "EnsembleConfig",
-    "IntensityRecord",
     "CorrelationProfile",
     "draw_source_realization",
     "simulate_realization",
@@ -103,28 +102,15 @@ class EnsembleConfig:
                 )
 
 
-@dataclass(frozen=True)
-class IntensityRecord:
-    """Bucket signal and scanned intensity of one realization or a block."""
-
-    i1: float
-    i2: np.ndarray
-
-
 @dataclass
 class CorrelationProfile:
-    """Correlation estimate on the detector scan.
-
-    normalization is "fluctuation" for delta_g2 or "raw_g2" for
-    1 + delta_g2 (the Gaussian-statistics, Siegert, form). For analytic
-    profiles n_realizations is 0 and std_err is identically zero.
-    """
+    """Correlation estimate on the detector scan. For analytic profiles
+    n_realizations is 0 and std_err is identically zero."""
 
     x2: np.ndarray
     delta_g2: np.ndarray
     std_err: np.ndarray
     n_realizations: int
-    normalization: str = "fluctuation"
     metadata: dict = field(default_factory=dict)
 
 
@@ -172,9 +158,10 @@ def simulate_realization(
     geom: OpticalGeometry,
     cfg: EnsembleConfig,
     wavelength: float,
-) -> IntensityRecord:
+) -> tuple[np.ndarray, np.ndarray]:
     """Propagate one source realization, or a block of them along the
-    field's leading axis, through both arms."""
+    field's leading axis, through both arms: (bucket signal i1, scanned
+    intensity i2)."""
     f1 = fresnel_propagate(source_field, geom.z1, wavelength, cfg.object_grid)
     f1 = apply_mask(f1, mask)
     i0, i1_ = cfg.object_grid.index_range(*cfg.bucket_window)
@@ -199,7 +186,7 @@ def simulate_realization(
         if np.any(counts <= 0):
             raise InvalidArgumentError("an aperture window contains no field samples")
         i2 = (csum[..., hi] - csum[..., lo]) / counts
-    return IntensityRecord(bucket, i2)
+    return bucket, i2
 
 
 def _block_size(cfg: EnsembleConfig) -> int:
@@ -224,9 +211,8 @@ def _mc_records(
         # a block of one goes through as the 1-D row
         index = rows if len(rows) > 1 else rows.start
         f = draw_source_realization(source, cfg.source_grid, index, cfg.master_seed)
-        rec = simulate_realization(f, mask, geom, cfg, source.wavelength)
-        i1[index] = rec.i1
-        i2[index] = rec.i2
+        i1[index], i2[index] = simulate_realization(f, mask, geom, cfg,
+                                                    source.wavelength)
 
     b = _block_size(cfg)
     fan_out(work, [range(s, min(n, s + b)) for s in range(0, n, b)], n_workers)
@@ -250,7 +236,6 @@ def delta_g2_montecarlo(
     source: SourceSpec,
     geom: OpticalGeometry,
     cfg: EnsembleConfig,
-    normalization: str = "fluctuation",
     n_workers: int = 1,
 ) -> CorrelationProfile:
     """Estimate delta_g2(x2) over the configured ensemble.
@@ -260,8 +245,6 @@ def delta_g2_montecarlo(
     which. Raises DegenerateStatisticsError when no light ever reaches the
     bucket (e.g. an opaque mask).
     """
-    if normalization not in ("fluctuation", "raw_g2"):
-        raise InvalidArgumentError("normalization must be 'fluctuation' or 'raw_g2'")
     if mask.grid != cfg.object_grid:
         raise GridMismatchError("mask must live on the configured object grid")
     n = cfg.n_realizations
@@ -299,12 +282,10 @@ def delta_g2_montecarlo(
         std_err = np.sqrt((n - 1) / n * np.sum((d_i - d_i.mean(axis=0)) ** 2, axis=0))
         method = "jackknife"
 
-    values = delta + 1.0 if normalization == "raw_g2" else delta
     return CorrelationProfile(
         x2=cfg.detector_grid.x,
-        delta_g2=values,
+        delta_g2=delta,
         std_err=std_err,
         n_realizations=n,
-        normalization=normalization,
         metadata={"stderr_method": method, "master_seed": cfg.master_seed},
     )

@@ -58,7 +58,6 @@ from .grid import ComplexField, TransverseGrid
 __all__ = [
     "UniformProfile",
     "GaussianProfile",
-    "SampledProfile",
     "SourceSpec",
     "OpticalGeometry",
     "TransmissionMask",
@@ -83,8 +82,6 @@ class UniformProfile:
     half_width: float
     peak: float = 1.0
 
-    kind = "uniform"
-
     def __post_init__(self) -> None:
         if self.half_width <= 0:
             raise InvalidArgumentError("uniform profile half_width must be positive")
@@ -108,8 +105,6 @@ class GaussianProfile:
     half_width: float
     peak: float = 1.0
 
-    kind = "gaussian"
-
     def __post_init__(self) -> None:
         if self.half_width <= 0:
             raise InvalidArgumentError("gaussian profile half_width must be positive")
@@ -127,64 +122,26 @@ class GaussianProfile:
         return self.peak * self.half_width * np.sqrt(np.pi / 2.0)
 
 
-@dataclass(frozen=True)
-class SampledProfile:
-    """Intensity given as non-negative samples on a grid, linearly interpolated."""
-
-    grid: TransverseGrid
-    values: np.ndarray
-
-    kind = "sampled"
-
-    def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=float)
-        if vals.ndim != 1 or vals.shape[0] != self.grid.n_points:
-            raise GridMismatchError("profile samples do not match the profile grid")
-        if np.any(vals < 0) or not np.all(np.isfinite(vals)):
-            raise InvalidArgumentError("sampled profile values must be finite and >= 0")
-        object.__setattr__(self, "values", vals)
-
-    def intensity(self, x: np.ndarray) -> np.ndarray:
-        return np.interp(np.asarray(x), self.grid.x, self.values, left=0.0, right=0.0)
-
-    def support(self) -> tuple[float, float]:
-        return (self.grid.x_min, self.grid.x_max)
-
-    def integral(self) -> float:
-        return float(np.trapezoid(self.values, dx=self.grid.dx))
-
-
-SourceProfile = Union[UniformProfile, GaussianProfile, SampledProfile]
+SourceProfile = Union[UniformProfile, GaussianProfile]
 
 
 @dataclass(frozen=True)
 class SourceSpec:
     """Quasi-monochromatic spatially incoherent source.
 
-    wavelength and coherence_time are in SI units. The profile gives the
-    mean intensity across the source plane; its absolute scale cancels in
-    every normalized correlation. coherence_time = 0 means unspecified,
-    which is fine for purely spatial calculations.
+    wavelength is in meters. The profile gives the mean intensity across
+    the source plane; its absolute scale cancels in every normalized
+    correlation.
     """
 
     wavelength: float
     profile: SourceProfile
-    coherence_time: float = 0.0
 
     def __post_init__(self) -> None:
         if self.wavelength <= 0:
             raise InvalidArgumentError("wavelength must be positive")
-        if self.coherence_time < 0:
-            raise InvalidArgumentError("coherence_time must be non-negative")
         if self.profile.integral() <= 0:
             raise InvalidArgumentError("source profile carries no power")
-
-    def effective_half_width(self) -> float:
-        """Half-width measure used for resolution checks and grid sizing."""
-        if isinstance(self.profile, (UniformProfile, GaussianProfile)):
-            return self.profile.half_width
-        lo, hi = self.profile.support()
-        return 0.5 * (hi - lo)
 
 
 @dataclass(frozen=True)

@@ -100,7 +100,7 @@ class ScenarioConfig:
     wavelength: float = _key("length", KINDS, 6.93e-7)
     source_profile: Optional[str] = _key("enum:profile", _SPATIAL)
     source_radius: Optional[float] = _key("length", _SPATIAL)
-    coherence_time: Optional[float] = _key("time", KINDS)
+    coherence_time: Optional[float] = _key("time", ("hbt",))
     z1: Optional[float] = _key("length", _SPATIAL)
     z2: Optional[float] = _key("length", ("focused_image",))
     z2_min: Optional[float] = _key("length", ("z2_sweep",))
@@ -135,8 +135,7 @@ class ScenarioConfig:
             profile = GaussianProfile(self.source_radius)
         else:
             profile = UniformProfile(self.source_radius)
-        return SourceSpec(self.wavelength, profile,
-                          coherence_time=self.coherence_time or 0.0)
+        return SourceSpec(self.wavelength, profile)
 
     def z2_values(self):
         """Detector distances: the one z2, or the sweep's z2_steps points."""
@@ -199,7 +198,7 @@ def spatial_grids(cfg: ScenarioConfig) -> SpatialGrids:
     source = cfg.source()
     lam = cfg.wavelength
     z1 = cfg.z1
-    a = source.effective_half_width()
+    a = source.profile.half_width
     lo, hi = source.profile.support()
     span_src = hi - lo
     extent = cfg.mask_extent()
@@ -436,22 +435,24 @@ def parse_scenario(text: str) -> ScenarioConfig:
 
 
 def _resolve_spatial(kind: str, values: dict, lines: dict) -> None:
+    if kind == "z2_sweep" and values["method"] == "both":
+        raise ConfigError(
+            "kind z2_sweep runs one method per row; method must be "
+            "montecarlo or analytic", key="method", line=lines.get("method"))
     if values["method"] != "analytic":
         values.setdefault("n_realizations", 4096)
-        if values["n_realizations"] < 2:
-            raise ConfigError("need at least 2 realizations",
-                              key="n_realizations",
-                              line=lines.get("n_realizations"))
+    if values.get("n_realizations") is not None and values["n_realizations"] < 2:
+        raise ConfigError("need at least 2 realizations", key="n_realizations",
+                          line=lines.get("n_realizations"))
     _require(values, ("source_radius", "z1", "mask"), f"kind {kind}")
     values.setdefault("source_profile", "uniform")
-    values.setdefault("coherence_time", 0.0)
     values.setdefault("detector_aperture", 0.0)
     _positive(values, lines, ("source_radius", "z1", "z2", "z2_min", "z2_max",
                               *_MASK_KEYS, "detector_step", "detector_span",
                               "object_span", "bucket_half_width"))
-    for key in ("detector_aperture", "coherence_time"):
-        if values[key] < 0:
-            raise ConfigError("must be non-negative", key=key, line=lines.get(key))
+    if values["detector_aperture"] < 0:
+        raise ConfigError("must be non-negative", key="detector_aperture",
+                          line=lines.get("detector_aperture"))
 
     if kind == "focused_image":
         _require(values, ("z2",), "kind focused_image")

@@ -64,9 +64,9 @@ def test_draw_outside_support_is_dark():
 
 
 def test_zero_power_profile_rejected():
-    grid = gs.make_grid(-1e-3, 1e-3, 33)
-    with pytest.raises(InvalidArgumentError):
-        gs.SourceSpec(693e-9, gs.SampledProfile(grid, np.zeros(33)))
+    # 2 * half_width * peak underflows to zero
+    with pytest.raises(InvalidArgumentError, match="carries no power"):
+        gs.SourceSpec(693e-9, gs.UniformProfile(1e-200, peak=1e-200))
 
 
 def test_full_bucket_collects_all_power(small_rig):
@@ -81,22 +81,22 @@ def test_full_bucket_collects_all_power(small_rig):
         detector_grid=dg, bucket_window=(-4e-3, 4e-3),
     )
     fld = gs.draw_source_realization(src, sg, 0, 7)
-    rec = gs.simulate_realization(
+    i1, _ = gs.simulate_realization(
         fld, gs.TransmissionMask.uniform(og), gs.OpticalGeometry(0.25, 0.25), cfg, lam
     )
     prop = gs.fresnel_propagate(fld, 0.25, lam, og)
-    assert rec.i1 == pytest.approx(prop.total_power, rel=1e-9)
+    assert i1 == pytest.approx(prop.total_power, rel=1e-9)
 
 
 def test_opaque_mask_gives_dark_bucket(small_rig):
     rig = small_rig
     cfg = rig.config(2, 7)
     fld = gs.draw_source_realization(rig.source, rig.source_grid, 0, 7)
-    rec = gs.simulate_realization(
+    i1, i2 = gs.simulate_realization(
         fld, gs.TransmissionMask.opaque(rig.object_grid), rig.geom, cfg, rig.lam
     )
-    assert rec.i1 == 0.0
-    assert np.all(rec.i2 > 0)  # arm 2 never sees the mask
+    assert i1 == 0.0
+    assert np.all(i2 > 0)  # arm 2 never sees the mask
 
 
 def test_speckle_correlation_length_follows_kernel(small_rig):
@@ -106,7 +106,7 @@ def test_speckle_correlation_length_follows_kernel(small_rig):
     i2s = np.empty((3000, rig.detector_grid.n_points))
     for i in range(3000):
         f = gs.draw_source_realization(rig.source, rig.source_grid, i, 31)
-        i2s[i] = gs.simulate_realization(f, um, rig.geom, cfg, rig.lam).i2
+        _, i2s[i] = gs.simulate_realization(f, um, rig.geom, cfg, rig.lam)
     di = i2s - i2s.mean(axis=0)
     c0 = (di * di).mean(axis=0).mean()
     dx = rig.detector_grid.dx
@@ -129,7 +129,8 @@ def test_uniform_mask_gives_flat_profile(small_rig):
 
 
 def test_point_source_reaches_siegert_ceiling(small_rig):
-    # fully coherent illumination: raw g2 at the speckle peak -> 2
+    # fully coherent illumination: delta_g2 at the speckle peak -> 1
+    # (raw g2 = 1 + delta_g2 -> 2)
     rig = small_rig
     src = gs.SourceSpec(rig.lam, gs.UniformProfile(10e-6))
     sg = gs.make_grid(-12e-6, 12e-6, 64)
@@ -139,26 +140,9 @@ def test_point_source_reaches_siegert_ceiling(small_rig):
         bucket_window=rig.bucket,
     )
     um = gs.TransmissionMask.uniform(rig.object_grid)
-    raw = gs.delta_g2_montecarlo(um, src, rig.geom, cfg, normalization="raw_g2")
-    pk = int(np.argmax(raw.delta_g2))
-    assert abs(raw.delta_g2[pk] - 2.0) <= 3 * raw.std_err[pk]
-
-
-def test_raw_g2_equals_one_plus_fluctuation(small_rig):
-    rig = small_rig
-    src = gs.SourceSpec(rig.lam, gs.UniformProfile(10e-6))
-    sg = gs.make_grid(-12e-6, 12e-6, 64)
-    cfg = gs.EnsembleConfig(
-        n_realizations=512, master_seed=5, source_grid=sg,
-        object_grid=rig.object_grid, detector_grid=rig.detector_grid,
-        bucket_window=rig.bucket,
-    )
-    um = gs.TransmissionMask.uniform(rig.object_grid)
-    raw = gs.delta_g2_montecarlo(um, src, rig.geom, cfg, normalization="raw_g2")
-    flc = gs.delta_g2_montecarlo(um, src, rig.geom, cfg, normalization="fluctuation")
-    assert np.max(np.abs(raw.delta_g2 - 1.0 - flc.delta_g2)) < 1e-12
-    assert raw.normalization == "raw_g2"
-    assert flc.normalization == "fluctuation"
+    prof = gs.delta_g2_montecarlo(um, src, rig.geom, cfg)
+    pk = int(np.argmax(prof.delta_g2))
+    assert abs(prof.delta_g2[pk] - 1.0) <= 3 * prof.std_err[pk]
 
 
 def test_std_err_shrinks_as_sqrt_n(small_rig):
@@ -201,14 +185,6 @@ def test_mask_grid_must_match_object_grid(small_rig):
     other = gs.TransmissionMask.uniform(gs.make_grid(-0.6e-3, 0.6e-3, 255))
     with pytest.raises(GridMismatchError):
         gs.delta_g2_montecarlo(other, rig.source, rig.geom, rig.config(16, 3))
-
-
-def test_unknown_normalization_rejected(small_rig):
-    rig = small_rig
-    mask = gs.TransmissionMask.uniform(rig.object_grid)
-    with pytest.raises(InvalidArgumentError):
-        gs.delta_g2_montecarlo(mask, rig.source, rig.geom, rig.config(16, 3),
-                               normalization="siegert")
 
 
 def test_config_validation(small_rig):
@@ -262,12 +238,12 @@ def test_aperture_averages_neighbourhood(small_rig):
     )
     um = gs.TransmissionMask.uniform(rig.object_grid)
     fld = gs.draw_source_realization(rig.source, rig.source_grid, 0, 17)
-    rec = gs.simulate_realization(fld, um, rig.geom, cfg, rig.lam)
-    fine = gs.simulate_realization(fld, um, rig.geom, cfg_fine, rig.lam)
+    _, i2 = gs.simulate_realization(fld, um, rig.geom, cfg, rig.lam)
+    _, fine = gs.simulate_realization(fld, um, rig.geom, cfg_fine, rig.lam)
     for j in (10, 64, 100):
         x0 = rig.detector_grid.x[j]
         lo, hi = fg.index_range(x0 - 0.1e-3, x0 + 0.1e-3)
-        assert rec.i2[j] == pytest.approx(fine.i2[lo:hi].mean(), rel=1e-9)
+        assert i2[j] == pytest.approx(fine[lo:hi].mean(), rel=1e-9)
 
 
 @pytest.mark.parametrize("workers", [0, 1, 3])

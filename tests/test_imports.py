@@ -1,4 +1,5 @@
-"""Import hygiene: what start-up loads, and no import left unused in src/."""
+"""Import hygiene: what start-up loads, and no import or private name left
+unused in src/."""
 
 import ast
 import json
@@ -93,3 +94,46 @@ def _unused_imports(path: Path) -> list:
 
 def test_no_unused_imports_in_src():
     assert [u for p in sorted(SRC.glob("*.py")) for u in _unused_imports(p)] == []
+
+
+def _private_definitions(tree):
+    """(statement, name) for each module-level function, class or constant
+    whose name is private (one leading underscore, not a dunder)."""
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [stmt.name]
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            names = [n.id for t in targets for n in ast.walk(t)
+                     if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.endswith("__"):
+                yield stmt, name
+
+
+def _references(stmt) -> set:
+    """Names a statement reads: bare names, attributes and imported names."""
+    out = set()
+    for n in ast.walk(stmt):
+        if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.alias):
+            out.add(n.name)
+    return out
+
+
+def test_no_unreferenced_private_names_in_src():
+    # a private name is matched by name in any other module-level statement
+    # of any src/ file; its own definition does not count
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8"))
+             for p in sorted(SRC.glob("*.py"))}
+    refs = [(stmt, _references(stmt)) for tree in trees.values()
+            for stmt in tree.body]
+    dead = [f"{fname}:{stmt.lineno} {name}" for fname, tree in trees.items()
+            for stmt, name in _private_definitions(tree)
+            if not any(name in names for other, names in refs if other is not stmt)]
+    assert dead == []

@@ -277,9 +277,14 @@ def test_missing_required_key_rejected(tiny_scenario_text):
 
 
 def test_key_for_wrong_kind_rejected():
-    text = preset_text("hbt") + "mask_slit_width = 100 um\n"
-    with pytest.raises(ConfigError, match="does not apply"):
-        gs.parse_scenario(text)
+    bad = {"mask_slit_width": preset_text("hbt") + "mask_slit_width = 100 um\n",
+           # spatial speckle is equal-time: no coherence time enters
+           "coherence_time": preset_text("fig2") + "coherence_time = 0.1 ns\n"}
+    for key, text in bad.items():
+        with pytest.raises(ConfigError, match="does not apply") as exc:
+            gs.parse_scenario(text)
+        assert exc.value.key == key
+        assert exc.value.line == len(text.splitlines())
 
 
 def test_wrong_unit_dimension_rejected(tiny_scenario_text):
@@ -326,6 +331,29 @@ def test_analytic_method_invalid_for_hbt():
     text = preset_text("hbt").replace("method = montecarlo", "method = analytic")
     with pytest.raises(ConfigError):
         gs.parse_scenario(text)
+
+
+def test_both_method_invalid_for_sweep(tmp_path, capsys):
+    # each sweep row runs one method, so 'both' is refused, not half run
+    text = preset_text("fig3").replace("method = analytic", "method = both")
+    with pytest.raises(ConfigError) as exc:
+        gs.parse_scenario(text)
+    assert exc.value.key == "method"
+    assert exc.value.line == text.splitlines().index("method = both") + 1
+    scen = tmp_path / "fig3.scenario"
+    scen.write_text(preset_text("fig3"))
+    assert cli.main(["run", str(scen), "--method", "both",
+                     "--out", str(tmp_path / "out")]) == 2
+    assert "key 'method'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_too_few_realizations_rejected_for_analytic_method():
+    text = preset_text("fig3") + "n_realizations = 1\n"
+    with pytest.raises(ConfigError, match="at least 2") as exc:
+        gs.parse_scenario(text)
+    assert exc.value.key == "n_realizations"
+    assert exc.value.line == len(text.splitlines())
 
 
 def test_dump_echoes_resolved_defaults(tiny_scenario_text):
