@@ -10,7 +10,8 @@ degenerate-statistics error, 4 I/O error. parse_scenario plans every
 spatial run (scenario.plan), so validate and run reject the same inputs
 with 2; 3 is left to what only the run itself can find, such as
 statistics that cannot be formed. Overrides (--seed, --method, --out)
-apply to a file that must be valid on its own. --threads falls back to
+apply to a file that must be valid on its own; an error they cause names
+the flag, not a line. --threads falls back to
 the GHOSTSIM_THREADS environment variable, then to 1.
 """
 
@@ -32,6 +33,9 @@ __all__ = ["main"]
 
 _METHOD_ALIASES = {"mc": "montecarlo", "montecarlo": "montecarlo",
                    "analytic": "analytic", "both": "both"}
+
+# the scenario key each run override sets, and its flag
+_OVERRIDE_FLAGS = {"seed": "--seed", "method": "--method", "output": "--out"}
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -121,8 +125,16 @@ def _cmd_run(args) -> int:
     if args.out is not None:
         overrides["output"] = args.out
     if overrides:
-        # re-validate the overridden config through the one validator
-        cfg = parse_scenario(dump_scenario(replace(cfg, **overrides)))
+        # re-validate the overridden config through the one validator; the
+        # dump's line numbers are not the file's, so an error names the flags
+        try:
+            cfg = parse_scenario(dump_scenario(replace(cfg, **overrides)))
+        except ConfigError as exc:
+            if exc.key in overrides:
+                note = f"set by {_OVERRIDE_FLAGS[exc.key]}"
+            else:
+                note = "with " + ", ".join(_OVERRIDE_FLAGS[k] for k in overrides)
+            raise ConfigError(f"{exc.message} ({note})", key=exc.key) from exc
 
     if cfg.kind == "hbt":
         import scipy.signal  # noqa: F401  (loaded in set-up, not in the run)

@@ -36,11 +36,11 @@ raises InvalidArgumentError.
 from __future__ import annotations
 
 import numpy as np
-import scipy.fft as sfft
+from numpy.fft import fft, rfft
 
 from .errors import InvalidArgumentError
 from .grid import TransverseGrid, make_grid
-from .optics import OpticalGeometry, SourceSpec, chirp_kernel_sum
+from .optics import OpticalGeometry, SourceSpec, _next_fast_len, chirp_kernel_sum
 
 __all__ = [
     "mutual_coherence_kernel",
@@ -199,6 +199,18 @@ def coherence_kernel_map(
     )
 
 
+def _autocorrelation(g: np.ndarray) -> np.ndarray:
+    """R_m = sum_q g_{q+m} conj(g_q) for m = 0..n-1, from one zero-padded FFT.
+
+    The inverse transform of the real power spectrum p is taken as
+    conj(rfft(p, norm="forward")): that is how scipy.fft.ifft transforms a
+    real array, so R has its bits, at half the work of a complex ifft.
+    """
+    n = g.size
+    spec = fft(g, _next_fast_len(2 * n - 1))
+    return np.conj(rfft(spec.real**2 + spec.imag**2, norm="forward")[:n])
+
+
 def _numerator_fixed(
     mask_grid: TransverseGrid,
     weights: np.ndarray,
@@ -218,7 +230,8 @@ def _numerator_fixed(
         A_m = sum_x1 W(x1) exp(-2i*pi*m*h*x1/(lambda*z1)).
 
     R and A are Hermitian in m, so the sum runs over m >= 0 with the
-    terms m > 0 doubled. R is one FFT; A and the sum over m are chirp sums
+    terms m > 0 doubled. R is one FFT pair (_autocorrelation, numpy.fft
+    with scipy.fft's bits); A and the sum over m are chirp sums
     with their chirps undone, so each pass costs three transforms whatever
     the mask. Starting the lags at m = 0 keeps the largest terms at the
     start of the chirp-z input, where the Bluestein chirp w**(k^2/2) has
@@ -235,8 +248,7 @@ def _numerator_fixed(
     alpha = 1.0 / lz1 - 1.0 / lz2
     g = (_trapezoid_weights(n, quad.dx) * source.profile.intensity(xp)
          * np.exp((1j * np.pi * alpha) * xp**2))
-    spec = sfft.fft(g, sfft.next_fast_len(2 * n - 1))
-    r = sfft.ifft(spec.real**2 + spec.imag**2)[:n]
+    r = _autocorrelation(g)
     r[1:] *= 2.0
     # the lags m*h, m = 0..n-1: the quadrature's own spacing
     lags = make_grid(0.0, hi - lo, n)

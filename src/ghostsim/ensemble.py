@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.random import Generator, Philox
-from scipy.fft import next_fast_len
 
 from .errors import DegenerateStatisticsError, GridMismatchError, InvalidArgumentError
 from .grid import ComplexField, TransverseGrid
@@ -36,6 +35,7 @@ from .optics import (
     OpticalGeometry,
     SourceSpec,
     TransmissionMask,
+    _next_fast_len,
     apply_mask,
     fresnel_propagate,
 )
@@ -193,7 +193,7 @@ def _block_size(cfg: EnsembleConfig) -> int:
     """Realizations per block, from the larger Bluestein length of the legs."""
     out = cfg.detector_field_grid if cfg.detector_aperture > 0 else cfg.detector_grid
     m = max(cfg.object_grid.n_points, out.n_points)
-    return max(1, 2**14 // next_fast_len(cfg.source_grid.n_points + m - 1))
+    return max(1, 2**14 // _next_fast_len(cfg.source_grid.n_points + m - 1))
 
 
 def _mc_records(

@@ -64,6 +64,7 @@ class ConfigError(GhostSimError):
     """
 
     def __init__(self, message: str, *, line: int | None = None, key: str | None = None):
+        self.message = message
         self.line = line
         self.key = key
         prefix = ""

@@ -17,7 +17,9 @@ Two execution paths compute the same finite sum:
   exp(i*pi*(x-y)^2/(lz)) = exp(i*pi*x^2/lz) * exp(i*pi*y^2/lz) * exp(-2i*pi*x*y/lz)
   which turns the sum into a chirp-z transform between the two grids
   (Bluestein, O((N+M) log(N+M)) via _Bluestein, a private plan with the
-  bits of scipy.signal.CZT that leaves the slow scipy.signal import out).
+  bits of scipy.signal.CZT). Its FFTs are numpy.fft's: on numpy >= 2.0
+  that is the pocketfft scipy.fft wraps, so with _next_fast_len's
+  lengths the bits are scipy's and no scipy module is imported.
 
 Building a Bluestein plan costs about ten times more than applying it, so
 each thread keeps the plans of its last two (input grid, output grid,
@@ -46,7 +48,7 @@ from functools import lru_cache
 from typing import Union
 
 import numpy as np
-from scipy.fft import fft, ifft, next_fast_len
+from numpy.fft import fft, ifft
 
 from .errors import (
     GridMismatchError,
@@ -284,6 +286,27 @@ def chirp_kernel_sum(
     return post * spectrum
 
 
+def _next_fast_len(target: int) -> int:
+    """Smallest 2*3*5*7*11-smooth integer >= target: the length
+    scipy.fft.next_fast_len gives a complex transform."""
+    best = 2 * target
+    p11 = 1
+    while p11 < best:
+        p7 = p11
+        while p7 < best:
+            p5 = p7
+            while p5 < best:
+                p3 = p5
+                while p3 < best:
+                    # the smallest p3 * 2**i >= target
+                    best = min(best, p3 << ((target - 1) // p3).bit_length())
+                    p3 *= 3
+                p5 *= 5
+            p7 *= 7
+        p11 *= 11
+    return best
+
+
 class _Bluestein:
     """Chirp-z transform of n inputs onto m outputs, z_k = a * w**-k, over the
     last axis: scipy.signal.CZT's (1.17) expressions in its order, so its bits."""
@@ -292,7 +315,7 @@ class _Bluestein:
         k = np.arange(max(m, n), dtype=np.min_scalar_type(-max(m, n)**2))
         wk2 = w**(k**2/2.)
         self._Awk2 = (1.0*a)**-k[:n] * wk2[:n]
-        self._nfft = next_fast_len(n + m - 1)
+        self._nfft = _next_fast_len(n + m - 1)
         self._Fwk2 = fft(1/np.hstack((wk2[n-1:0:-1], wk2[:m])), self._nfft)
         self._wk2 = wk2[:m]
         self._yidx = slice(n - 1, n + m - 1)

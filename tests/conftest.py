@@ -1,9 +1,18 @@
 """Shared fixtures and the acceptance-criteria summary hook."""
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import ghostsim as gs
+
+# pyproject's pythonpath reaches only this process; the `python -m
+# ghostsim.cli` subprocesses of the CLI tests import the checkout's src/ too
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
 
 # num -> (text, outcome); filled by the hook below, printed at the end
 _ACCEPTANCE: dict[int, tuple[str, str]] = {}

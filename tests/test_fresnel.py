@@ -4,6 +4,7 @@ import threading
 
 import numpy as np
 import pytest
+from scipy.fft import next_fast_len
 from scipy.signal import CZT, czt
 
 import ghostsim as gs
@@ -189,6 +190,15 @@ def test_private_plan_has_the_bits_of_scipy_czt(n, m, sign):
     plan, ref = optics._Bluestein(n, m, w, a), CZT(n, m, w, a)
     assert np.array_equal(plan(block[0]), ref(block[0]))
     assert np.array_equal(plan(block), ref(block))
+
+
+def test_next_fast_len_is_scipys_complex_length():
+    # every target to 2^16, then a log-spaced sample past the quadrature's
+    # 2 * 2^22 - 1 point FFT
+    for target in range(1, (1 << 16) + 1):
+        assert optics._next_fast_len(target) == next_fast_len(target), target
+    for target in np.unique(np.geomspace(1 << 16, 1 << 23, 2000).astype(int)):
+        assert optics._next_fast_len(int(target)) == next_fast_len(int(target))
 
 
 def test_each_worker_keeps_its_plan_among_many():

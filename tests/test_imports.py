@@ -56,6 +56,49 @@ def test_startup_leaves_scipy_signal_to_hbt_runs(tmp_path, tiny_scenario_text):
     assert seen == {"start": [], "focused_image": False, "hbt": True}
 
 
+# Records the scipy modules loaded after import, at the run call and after
+# the run of a spatial scenario by both routes; then stops an hbt run at its
+# call.
+SCIPY_PROBE = """\
+import json, sys
+import ghostsim.cli as cli
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+seen = {"start": scipy_modules()}
+run = cli.run_scenario
+def probe(cfg, workers=1):
+    seen[cfg.kind] = scipy_modules()
+    if cfg.kind == "hbt":
+        raise SystemExit(0)
+    out = run(cfg, workers)
+    seen["run"] = scipy_modules()
+    return out
+cli.run_scenario = probe
+seen["exit"] = cli.main(["run", sys.argv[1], "--method", "both"])
+try:
+    cli.main(["run", sys.argv[2]])
+except SystemExit:
+    pass
+print(json.dumps(seen))
+"""
+
+
+def test_spatial_runs_load_no_scipy(tmp_path, tiny_scenario_text):
+    spatial, hbt = tmp_path / "tiny.scenario", tmp_path / "hbt.scenario"
+    spatial.write_text(tiny_scenario_text.replace("n_realizations = 384",
+                                                  "n_realizations = 16"),
+                       encoding="utf-8")
+    hbt.write_text(TINY_HBT, encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    res = subprocess.run([sys.executable, "-c", SCIPY_PROBE, str(spatial), str(hbt)],
+                         capture_output=True, text=True, env=env, cwd=tmp_path,
+                         check=True)
+    seen = json.loads(res.stdout.splitlines()[-1])
+    hbt_modules = seen.pop("hbt")
+    assert seen == {"start": [], "focused_image": [], "run": [], "exit": 0}
+    assert "scipy.signal" in hbt_modules
+
+
 def _module_names(node, local=frozenset()):
     """Names read in node that are not bound locally by an enclosing
     function (a parameter ``field`` does not use an imported ``field``)."""

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.fft as sfft
 
 import ghostsim as gs
 from ghostsim import InvalidArgumentError, UnsupportedProfileError, coherence
@@ -230,6 +231,26 @@ def test_numerator_refinement_is_second_order():
     steps = [np.max(np.abs(b - a)) for a, b in zip(vals, vals[1:])]
     for coarse, fine in zip(steps, steps[1:]):
         assert 3.5 < coarse / fine < 4.5
+
+
+def test_autocorrelation_has_the_bits_of_scipy_ifft(monkeypatch):
+    # every pass of the fig3 sweep: the half-length rfft form equals
+    # scipy.fft.ifft of the real power spectrum, bit for bit
+    seen = []
+
+    def record(g):
+        seen.append(g.copy())
+        return autocorrelation(g)
+
+    autocorrelation = coherence._autocorrelation
+    monkeypatch.setattr(coherence, "_autocorrelation", record)
+    gs.run_scenario(gs.parse_scenario(preset_text("fig3")), workers=1)
+    assert len({g.size for g in seen}) > 10
+    for g in seen:
+        n = g.size
+        spec = sfft.fft(g, sfft.next_fast_len(2 * n - 1))
+        ref = sfft.ifft(spec.real**2 + spec.imag**2)[:n]
+        assert np.array_equal(autocorrelation(g), ref), n
 
 
 def test_numerator_aperture_is_a_box_average():

@@ -348,6 +348,44 @@ def test_both_method_invalid_for_sweep(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("preset, flag, value, key", [
+    ("fig3", "--method", "both", "method"),
+    ("fig2", "--seed", str(2**64), "seed"),
+    ("fig2", "--out", "", "output"),
+])
+def test_override_error_names_the_flag_not_a_line(tmp_path, capsys, preset,
+                                                  flag, value, key):
+    # the overridden config is re-parsed from its canonical dump, whose line
+    # numbers are not the file's
+    scen = tmp_path / "in.scenario"
+    scen.write_text(preset_text(preset))
+    args = ["run", str(scen), flag, value]
+    if flag != "--out":
+        args += ["--out", str(tmp_path / "out")]
+    assert cli.main(args) == 2
+    err = capsys.readouterr().err
+    assert f"key '{key}'" in err
+    assert f"(set by {flag})" in err
+    assert "line " not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_override_error_on_another_key_names_the_flags(tmp_path, capsys):
+    # valid alone (the analytic route keeps no record matrix), over the
+    # record budget once --method mc asks for one
+    text = preset_text("fig3") + "n_realizations = 1000000000\n"
+    scen = tmp_path / "in.scenario"
+    scen.write_text(text)
+    gs.parse_scenario(text)
+    assert cli.main(["run", str(scen), "--method", "mc", "--seed", "3",
+                     "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "key 'n_realizations'" in err
+    assert "(with --seed, --method, --out)" in err
+    assert "line " not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_too_few_realizations_rejected_for_analytic_method():
     text = preset_text("fig3") + "n_realizations = 1\n"
     with pytest.raises(ConfigError, match="at least 2") as exc:
