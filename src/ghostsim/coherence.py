@@ -40,7 +40,8 @@ from numpy.fft import fft, rfft
 
 from .errors import InvalidArgumentError
 from .grid import TransverseGrid, make_grid
-from .optics import OpticalGeometry, SourceSpec, _next_fast_len, chirp_kernel_sum
+from .optics import (OpticalGeometry, SourceSpec, _ChirpPlan, _next_fast_len,
+                     chirp_kernel_sum)
 
 __all__ = [
     "mutual_coherence_kernel",
@@ -147,7 +148,7 @@ def _kernel_rows_fixed(
     """K(x1, x2) on x1_nodes (rows) x x2_grid (columns) with an n-point trapezoid.
 
     Row-wise the x2 dependence is a chirp transform of the source profile
-    times the arm-1 chirp, so each row costs one Bluestein transform.
+    times the arm-1 chirp, so each row costs one transform of one plan.
     """
     lo, hi = source.profile.support()
     quad = make_grid(lo, hi, n)
@@ -156,10 +157,11 @@ def _kernel_rows_fixed(
     lam = source.wavelength
     intens = source.profile.intensity(xp) * w
     c = (1.0 / np.sqrt(1j * lam * geom.z1)) * np.conj(1.0 / np.sqrt(1j * lam * geom.z2))
+    plan = _ChirpPlan(quad, x2_grid, lam * geom.z2, -1)
     rows = np.empty((x1_nodes.size, x2_grid.n_points), dtype=np.complex128)
     for r, x1 in enumerate(x1_nodes):
         g1 = intens * np.exp((1j * np.pi / (lam * geom.z1)) * (xp - x1) ** 2)
-        rows[r] = c * chirp_kernel_sum(g1, quad, x2_grid, lam * geom.z2, sign=-1)
+        rows[r] = c * plan(g1)
     return rows
 
 

@@ -35,7 +35,7 @@ from .optics import (
     OpticalGeometry,
     SourceSpec,
     TransmissionMask,
-    _next_fast_len,
+    _ChirpPlan,
     apply_mask,
     fresnel_propagate,
 )
@@ -158,26 +158,24 @@ def simulate_realization(
     geom: OpticalGeometry,
     cfg: EnsembleConfig,
     wavelength: float,
+    plans: tuple = (None, None),
 ) -> tuple[np.ndarray, np.ndarray]:
     """Propagate one source realization, or a block of them along the
     field's leading axis, through both arms: (bucket signal i1, scanned
-    intensity i2)."""
-    f1 = fresnel_propagate(source_field, geom.z1, wavelength, cfg.object_grid)
+    intensity i2), each arm through its plan in ``plans`` (see _leg_plans)."""
+    f1 = fresnel_propagate(source_field, geom.z1, wavelength, cfg.object_grid,
+                           plan=plans[0])
     f1 = apply_mask(f1, mask)
     i0, i1_ = cfg.object_grid.index_range(*cfg.bucket_window)
     a = f1.amplitude[..., i0:i1_]
     bucket = np.sum(a.real**2 + a.imag**2, axis=-1) * cfg.object_grid.dx
 
-    if cfg.detector_aperture == 0.0:
-        f2 = fresnel_propagate(source_field, geom.z2, wavelength, cfg.detector_grid)
-        a2 = f2.amplitude
-        i2 = a2.real**2 + a2.imag**2
-    else:
-        fg = cfg.detector_field_grid
-        f2 = fresnel_propagate(source_field, geom.z2, wavelength, fg)
-        a2 = f2.amplitude
-        intensity = a2.real**2 + a2.imag**2
-        csum = np.cumsum(np.insert(intensity, 0, 0.0, axis=-1), axis=-1)
+    fg = cfg.detector_field_grid if cfg.detector_aperture > 0 else cfg.detector_grid
+    f2 = fresnel_propagate(source_field, geom.z2, wavelength, fg, plan=plans[1])
+    a2 = f2.amplitude
+    i2 = a2.real**2 + a2.imag**2
+    if cfg.detector_aperture > 0:
+        csum = np.cumsum(np.insert(i2, 0, 0.0, axis=-1), axis=-1)
         half = 0.5 * cfg.detector_aperture
         x2 = cfg.detector_grid.x
         lo = np.searchsorted(fg.x, x2 - half, side="left")
@@ -189,11 +187,16 @@ def simulate_realization(
     return bucket, i2
 
 
-def _block_size(cfg: EnsembleConfig) -> int:
+def _leg_plans(geom: OpticalGeometry, cfg: EnsembleConfig, wavelength: float) -> tuple:
+    """The chirp plans of the two arms, as simulate_realization propagates them."""
+    fg = cfg.detector_field_grid if cfg.detector_aperture > 0 else cfg.detector_grid
+    return (_ChirpPlan(cfg.source_grid, cfg.object_grid, wavelength * geom.z1, 1),
+            _ChirpPlan(cfg.source_grid, fg, wavelength * geom.z2, 1))
+
+
+def _block_size(plans: tuple) -> int:
     """Realizations per block, from the larger Bluestein length of the legs."""
-    out = cfg.detector_field_grid if cfg.detector_aperture > 0 else cfg.detector_grid
-    m = max(cfg.object_grid.n_points, out.n_points)
-    return max(1, 2**14 // _next_fast_len(cfg.source_grid.n_points + m - 1))
+    return max(1, 2**14 // max(p.bluestein.nfft for p in plans))
 
 
 def _mc_records(
@@ -206,15 +209,17 @@ def _mc_records(
     n = cfg.n_realizations
     i1 = np.empty(n)
     i2 = np.empty((n, cfg.detector_grid.n_points))
+    # built once and shared read-only by every worker
+    plans = _leg_plans(geom, cfg, source.wavelength)
 
     def work(rows: range) -> None:
         # a block of one goes through as the 1-D row
         index = rows if len(rows) > 1 else rows.start
         f = draw_source_realization(source, cfg.source_grid, index, cfg.master_seed)
         i1[index], i2[index] = simulate_realization(f, mask, geom, cfg,
-                                                    source.wavelength)
+                                                    source.wavelength, plans)
 
-    b = _block_size(cfg)
+    b = _block_size(plans)
     fan_out(work, [range(s, min(n, s + b)) for s in range(0, n, b)], n_workers)
     return i1, i2
 

@@ -21,14 +21,10 @@ Two execution paths compute the same finite sum:
   that is the pocketfft scipy.fft wraps, so with _next_fast_len's
   lengths the bits are scipy's and no scipy module is imported.
 
-Building a Bluestein plan costs about ten times more than applying it, so
-each thread keeps the plans of its last two (input grid, output grid,
-lambda*z, sign) keys: the pre-chirp phase, the _Bluestein plan and the
-post-chirp. A thread has at most two plans in flight (mask onto lags and
-lags onto detector in one pass of the analytic profile, or the two legs
-of a Monte Carlo block), so the bound grows with the number of workers
-and worker threads never evict each other's plans; a worker's plans go
-when its thread ends.
+A _ChirpPlan holds the pre-chirp phase, _Bluestein plan and post-chirp of
+one (input grid, output grid, lambda*z, sign). Both transforms take one or
+build one per call; nothing is cached. The Monte Carlo builds its two
+once and shares them read-only among its workers.
 
 Both sum over the last axis; leading axes (a block of realizations) are
 kept. A block row has the bits of a 1-D call only while 1-D temporaries
@@ -42,9 +38,7 @@ windows is an aliasing error, never a warning.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Union
 
 import numpy as np
@@ -246,19 +240,23 @@ def chirp_kernel_sum(
     lambda_z: float,
     sign: int = 1,
     method: str = "fast",
+    plan: _ChirpPlan | None = None,
 ) -> np.ndarray:
     """Evaluate S_k = sum_j values_j * exp(sign * i*pi*(x_j - y_k)^2 / lambda_z).
 
     The sum runs over the last axis of ``values``; leading axes are kept.
     No quadrature weight or normalization is applied; callers supply both.
     ``method="direct"`` is the O(N*M) reference sum, ``method="fast"`` the
-    Bluestein chirp-z factorization of the same sum.
+    Bluestein chirp-z factorization of the same sum, through ``plan`` if
+    one built for these grids, lambda_z and sign is given.
     """
     if sign not in (1, -1):
         raise InvalidArgumentError("sign must be +1 or -1")
     v = np.asarray(values, dtype=np.complex128)
     if v.ndim < 1 or v.shape[-1] != in_grid.n_points:
         raise GridMismatchError("values do not match the input grid")
+    if plan is not None and plan.key != (in_grid, out_grid, lambda_z, sign):
+        raise InvalidArgumentError("the chirp plan was built for another transform")
 
     if method == "direct":
         gamma = 1.0 / lambda_z
@@ -277,13 +275,8 @@ def chirp_kernel_sum(
 
     if method != "fast":
         raise InvalidArgumentError(f"unknown propagation method '{method}'")
-
-    phase, plan, post = _thread_plans()(in_grid, out_grid, lambda_z, sign)
-    # exp(phase) stays inline: numpy multiplies a large temporary in place
-    # with the operands swapped, and the bits depend on that order
-    u = v * np.exp(phase)
-    spectrum = plan(u)
-    return post * spectrum
+    plan = plan or _ChirpPlan(in_grid, out_grid, lambda_z, sign)
+    return plan(v)
 
 
 def _next_fast_len(target: int) -> int:
@@ -315,40 +308,37 @@ class _Bluestein:
         k = np.arange(max(m, n), dtype=np.min_scalar_type(-max(m, n)**2))
         wk2 = w**(k**2/2.)
         self._Awk2 = (1.0*a)**-k[:n] * wk2[:n]
-        self._nfft = _next_fast_len(n + m - 1)
-        self._Fwk2 = fft(1/np.hstack((wk2[n-1:0:-1], wk2[:m])), self._nfft)
+        self.nfft = _next_fast_len(n + m - 1)
+        self._Fwk2 = fft(1/np.hstack((wk2[n-1:0:-1], wk2[:m])), self.nfft)
         self._wk2 = wk2[:m]
         self._yidx = slice(n - 1, n + m - 1)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        y = ifft(self._Fwk2 * fft(x*self._Awk2, self._nfft))
+        y = ifft(self._Fwk2 * fft(x*self._Awk2, self.nfft))
         return y[..., self._yidx] * self._wk2
 
 
-_local = threading.local()
+class _ChirpPlan:
+    """The fast chirp sum of one key (in_grid, out_grid, lambda_z, sign): its
+    pre-chirp phase, Bluestein plan and post-chirp, set once when it is
+    built. Applying it only reads them, so threads may share one plan."""
 
+    def __init__(self, in_grid, out_grid, lambda_z: float, sign: int) -> None:
+        self.key = (in_grid, out_grid, lambda_z, sign)
+        s, gamma = float(sign), 1.0 / lambda_z
+        self.phase = (s * 1j * np.pi * gamma) * in_grid.x**2
+        w = np.exp(-s * 2j * np.pi * gamma * in_grid.dx * out_grid.dx)
+        a = np.exp(s * 2j * np.pi * gamma * in_grid.dx * out_grid.x_min)
+        self.bluestein = _Bluestein(in_grid.n_points, out_grid.n_points, w, a)
+        y = out_grid.x
+        self.post = np.exp((s * 1j * np.pi * gamma) * y**2
+                           - (s * 2j * np.pi * gamma * in_grid.x_min) * y)
 
-def _thread_plans():
-    """This thread's bounded cache of _chirp_plan."""
-    try:
-        return _local.plans
-    except AttributeError:
-        _local.plans = lru_cache(maxsize=2)(_chirp_plan)
-        return _local.plans
-
-
-def _chirp_plan(
-    in_grid: TransverseGrid, out_grid: TransverseGrid, lambda_z: float, sign: int
-) -> tuple[np.ndarray, _Bluestein, np.ndarray]:
-    """Pre-chirp phase, Bluestein plan and post-chirp of one fast chirp sum."""
-    s, gamma = float(sign), 1.0 / lambda_z
-    phase = (s * 1j * np.pi * gamma) * in_grid.x**2
-    w = np.exp(-s * 2j * np.pi * gamma * in_grid.dx * out_grid.dx)
-    a = np.exp(s * 2j * np.pi * gamma * in_grid.dx * out_grid.x_min)
-    y = out_grid.x
-    post = np.exp((s * 1j * np.pi * gamma) * y**2
-                  - (s * 2j * np.pi * gamma * in_grid.x_min) * y)
-    return phase, _Bluestein(in_grid.n_points, out_grid.n_points, w, a), post
+    def __call__(self, v: np.ndarray) -> np.ndarray:
+        # exp(phase) stays inline and the spectrum named: numpy multiplies a
+        # large temporary in place with swapped operands, which moves bits
+        spectrum = self.bluestein(v * np.exp(self.phase))
+        return self.post * spectrum
 
 
 def fresnel_propagate(
@@ -357,8 +347,10 @@ def fresnel_propagate(
     wavelength: float,
     out_grid: TransverseGrid,
     method: str = "fast",
+    plan: _ChirpPlan | None = None,
 ) -> ComplexField:
-    """Propagate a sampled field by ``distance`` onto ``out_grid``.
+    """Propagate a sampled field by ``distance`` onto ``out_grid``; ``plan``
+    is chirp_kernel_sum's, for lambda_z = wavelength * distance and sign +1.
 
     Raises SamplingCriterionError when either grid undersamples the chirp
     and InvalidArgumentError for non-positive distance or wavelength.
@@ -370,7 +362,7 @@ def fresnel_propagate(
     _check_sampling(distance, wavelength, field.grid, out_grid)
     lambda_z = wavelength * distance
     c = 1.0 / np.sqrt(1j * lambda_z)
-    s = chirp_kernel_sum(field.amplitude, field.grid, out_grid, lambda_z, 1, method)
+    s = chirp_kernel_sum(field.amplitude, field.grid, out_grid, lambda_z, 1, method, plan)
     return ComplexField(out_grid, c * field.grid.dx * s)
 
 

@@ -1,12 +1,14 @@
 """Shared fixtures and the acceptance-criteria summary hook."""
 
 import os
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import ghostsim as gs
+from ghostsim import optics
 
 # pyproject's pythonpath reaches only this process; the `python -m
 # ghostsim.cli` subprocesses of the CLI tests import the checkout's src/ too
@@ -105,3 +107,18 @@ bucket_half_width = 0.6 mm
 @pytest.fixture(scope="session")
 def tiny_scenario_text():
     return TINY_SCENARIO
+
+
+@pytest.fixture
+def built_plans(monkeypatch):
+    """A weak reference to each chirp-z plan built while the test runs, on
+    any thread."""
+    refs = []
+    build = optics._ChirpPlan.__init__
+
+    def recorded(plan, *args):
+        build(plan, *args)
+        refs.append(weakref.ref(plan))
+
+    monkeypatch.setattr(optics._ChirpPlan, "__init__", recorded)
+    return refs

@@ -183,6 +183,14 @@ def test_sweep_rows_identical_at_any_worker_count():
     assert np.array_equal(m_a, m_b)
 
 
+def test_fig3_sweep_builds_one_plan_per_chirp_sum(built_plans):
+    # 21 rows of two chirp sums per quadrature pass, each on its own lag
+    # grid: no plan could be reused, and none outlives the run
+    gs.run_scenario(gs.parse_scenario(preset_text("fig3")), workers=2)
+    assert len(built_plans) == 84
+    assert all(ref() is None for ref in built_plans)
+
+
 def test_aperture_field_grid_converges_at_default_tolerance():
     # fig2's 528-point detector-field grid; before the grid end points sat
     # exactly on the source edge this never met map_rtol = 1e-7

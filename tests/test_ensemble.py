@@ -1,6 +1,7 @@
 """Speckle ensemble statistics and the Monte Carlo correlation estimator."""
 
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -335,12 +336,20 @@ def test_block_records_match_one_realization_at_a_time(small_rig, case, block):
             detector_field_grid=gs.make_grid(-0.8e-3, 0.8e-3, 512)),
         "big_source": lambda: _big_source_case(small_rig, 3),
     }[case]()
-    assert ensemble._block_size(cfg) == block
+    assert ensemble._block_size(ensemble._leg_plans(geom, cfg, source.wavelength)) == block
     ref_i1, ref_i2 = records_one_at_a_time(mask, source, geom, cfg)
     for workers in (1, 2, 3):
         i1, i2 = ensemble._mc_records(mask, source, geom, cfg, workers)
         assert np.array_equal(i1, ref_i1)
         assert np.array_equal(i2, ref_i2)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 8])
+def test_montecarlo_run_builds_two_plans(built_plans, workers):
+    # one plan per leg, shared by every worker and every block
+    cfg = replace(gs.parse_scenario(preset_text("fig2")), n_realizations=512)
+    gs.run_scenario(cfg, workers=workers)
+    assert len(built_plans) == 2
 
 
 def test_drawn_block_rows_are_single_draws(small_rig):

@@ -8,7 +8,7 @@ from scipy.fft import next_fast_len
 from scipy.signal import CZT, czt
 
 import ghostsim as gs
-from ghostsim import InvalidArgumentError, SamplingCriterionError, optics
+from ghostsim import InvalidArgumentError, SamplingCriterionError, coherence, optics
 
 LAM = 693e-9
 
@@ -138,7 +138,7 @@ def test_unknown_method_rejected():
         gs.fresnel_propagate(f, 0.3, LAM, gin, method="spectral")
 
 
-# --- cached chirp-z plans ---
+# --- chirp-z plans ---
 
 
 def per_call_chirp_sum(values, in_grid, out_grid, lambda_z, sign):
@@ -160,19 +160,18 @@ def per_call_chirp_sum(values, in_grid, out_grid, lambda_z, sign):
 @pytest.mark.parametrize("n", [16383, 16385])
 @pytest.mark.parametrize("sign", [1, -1])
 def test_cached_plan_matches_per_call_plan_bitwise(n, sign):
+    # a plan held by the caller and applied twice, and a plan-less call
     gin = gs.make_grid(-1.1e-3, 0.9e-3, n)
     gout = gs.make_grid(-2e-3, 2.5e-3, 777)
     lambda_z = LAM * 1.7
     rng = np.random.default_rng(n)
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     ref = per_call_chirp_sum(v, gin, gout, lambda_z, sign)
-    optics._thread_plans().cache_clear()
-    cold = optics.chirp_kernel_sum(v, gin, gout, lambda_z, sign)
-    cached = optics.chirp_kernel_sum(v, gin, gout, lambda_z, sign)
-    info = optics._thread_plans().cache_info()
-    assert (info.misses, info.hits) == (1, 1)
-    assert np.array_equal(cold, ref)
-    assert np.array_equal(cached, ref)
+    plan = optics._ChirpPlan(gin, gout, lambda_z, sign)
+    for _ in range(2):
+        assert np.array_equal(optics.chirp_kernel_sum(v, gin, gout, lambda_z, sign,
+                                                      plan=plan), ref)
+    assert np.array_equal(optics.chirp_kernel_sum(v, gin, gout, lambda_z, sign), ref)
 
 
 @pytest.mark.parametrize("n, m", [(65, 829), (65, 528), (2048, 49), (16383, 3362),
@@ -201,25 +200,26 @@ def test_next_fast_len_is_scipys_complex_length():
         assert optics._next_fast_len(int(target)) == next_fast_len(int(target))
 
 
-def test_each_worker_keeps_its_plan_among_many():
-    # more workers than one thread's cache holds, each with its own key,
-    # in lockstep: no worker evicts another's plan
+def test_one_plan_shared_by_many_workers():
+    # what the Monte Carlo does with its leg plans: one plan, many threads
+    # in lockstep, each with its own input; every call keeps its bits
     gin = gs.make_grid(-1e-3, 1e-3, 4099)
     gout = gs.make_grid(-2e-3, 2e-3, 1500)
-    rng = np.random.default_rng(3)
-    v = rng.standard_normal(gin.n_points) + 1j * rng.standard_normal(gin.n_points)
+    lz = LAM * 0.3
     workers, rounds = 8, 5
-    keys = [LAM * (0.3 + 0.01 * k) for k in range(workers)]
-    refs = [per_call_chirp_sum(v, gin, gout, lz, -1) for lz in keys]
+    rng = np.random.default_rng(3)
+    vs = rng.standard_normal((workers, gin.n_points)) + 1j * rng.standard_normal(
+        (workers, gin.n_points))
+    refs = [per_call_chirp_sum(v, gin, gout, lz, -1) for v in vs]
+    plan = optics._ChirpPlan(gin, gout, lz, -1)
     step = threading.Barrier(workers, timeout=60)
-    results = [[] for _ in keys]
-    builds = [None] * workers
+    results = [[] for _ in range(workers)]
 
     def work(k):
         for _ in range(rounds):
             step.wait()
-            results[k].append(optics.chirp_kernel_sum(v, gin, gout, keys[k], -1))
-        builds[k] = optics._thread_plans().cache_info().misses
+            results[k].append(optics.chirp_kernel_sum(vs[k], gin, gout, lz, -1,
+                                                      plan=plan))
 
     threads = [threading.Thread(target=work, args=(k,)) for k in range(workers)]
     for t in threads:
@@ -227,23 +227,43 @@ def test_each_worker_keeps_its_plan_among_many():
     for t in threads:
         t.join(timeout=120)
     assert not any(t.is_alive() for t in threads)
-    assert builds == [1] * workers
     for ref, out in zip(refs, results):
         assert len(out) == rounds
         assert all(np.array_equal(o, ref) for o in out)
 
 
-def test_plan_cache_stays_bounded():
-    plans = optics._thread_plans()
-    size = plans.cache_info().maxsize
-    assert size is not None
-    v = np.ones(64, dtype=complex)
-    gout = gs.make_grid(-1e-3, 1e-3, 64)
-    for k in range(2 * size + 1):
-        gin = gs.make_grid(-1e-3, 1e-3 + k * 1e-6, 64)
-        optics.chirp_kernel_sum(v, gin, gout, LAM * 0.3)
-        assert plans.cache_info().currsize <= size
-    assert plans.cache_info().currsize == size
+def test_no_plan_outlives_its_call(built_plans, tiny_scenario_text):
+    gin = gs.make_grid(-1e-3, 1e-3, 301)
+    gout = gs.make_grid(-2e-3, 2e-3, 200)
+    optics.chirp_kernel_sum(np.ones(301), gin, gout, LAM * 0.3, -1)
+    assert len(built_plans) == 1
+    src = gs.SourceSpec(LAM, gs.UniformProfile(2e-3))
+    mask = gs.make_grid(-0.3e-3, 0.3e-3, 64)
+    coherence.ghost_image_numerator(mask, np.ones(64), gout, src,
+                                    gs.OpticalGeometry(0.3, 0.3))
+    mc = tiny_scenario_text.replace("n_realizations = 384", "n_realizations = 64")
+    gs.run_scenario(gs.parse_scenario(mc), workers=2)
+    assert len(built_plans) > 3
+    assert [ref() for ref in built_plans] == [None] * len(built_plans)
+
+
+def test_mismatched_plan_raises():
+    gin = gs.make_grid(-1e-3, 1e-3, 128)
+    gout = gs.make_grid(-2e-3, 2e-3, 200)
+    lz = LAM * 0.3
+    plan = optics._ChirpPlan(gin, gout, lz, 1)
+    v = np.ones(128, dtype=complex)
+    for call in [(gin, gs.make_grid(-2e-3, 2e-3, 201), lz, 1),  # output grid
+                 (gin, gout, LAM * 0.31, 1),                     # lambda*z
+                 (gin, gout, lz, -1)]:                           # sign
+        with pytest.raises(InvalidArgumentError, match="another transform"):
+            optics.chirp_kernel_sum(v, *call, plan=plan)
+    # fresnel_propagate's plan is keyed by wavelength * distance and sign +1
+    f = gs.ComplexField(gin, v)
+    assert np.array_equal(gs.fresnel_propagate(f, 0.3, LAM, gout, plan=plan).amplitude,
+                          gs.fresnel_propagate(f, 0.3, LAM, gout).amplitude)
+    with pytest.raises(InvalidArgumentError, match="another transform"):
+        gs.fresnel_propagate(f, 0.31, LAM, gout, plan=plan)
 
 
 # --- blocks of realizations on the last axis ---

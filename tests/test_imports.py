@@ -139,6 +139,30 @@ def test_no_unused_imports_in_src():
     assert [u for p in sorted(SRC.glob("*.py")) for u in _unused_imports(p)] == []
 
 
+# state that outlives a call without its caller holding it
+HIDDEN_CACHES = {("threading", "local"), ("functools", "lru_cache"),
+                 ("functools", "cache")}
+
+
+def _hidden_caches(path: Path) -> list:
+    """Uses of HIDDEN_CACHES, as `from module import name` or module.name."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            pairs = [(node.module, alias.name) for alias in node.names]
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            pairs = [(node.value.id, node.attr)]
+        else:
+            continue
+        found += [f"{path.name}:{node.lineno} {m}.{n}" for m, n in pairs
+                  if (m, n) in HIDDEN_CACHES]
+    return found
+
+
+def test_no_hidden_caches_in_src():
+    assert [c for p in sorted(SRC.glob("*.py")) for c in _hidden_caches(p)] == []
+
+
 def _private_definitions(tree):
     """(statement, name) for each module-level function, class or constant
     whose name is private (one leading underscore, not a dunder)."""
