@@ -123,11 +123,6 @@ def fan_out(fn, items, workers: int) -> list:
         return list(pool.map(fn, items))
 
 
-def _realization_rng(master_seed: int, realization_index: int) -> Generator:
-    key = np.array([master_seed, realization_index], dtype=_U64)
-    return Generator(Philox(key=key))
-
-
 def draw_source_realization(
     source: SourceSpec,
     grid: TransverseGrid,
@@ -145,8 +140,14 @@ def draw_source_realization(
     if len(rows) == 0 or min(rows) < 0:
         raise InvalidArgumentError("realization_index must be >= 0")
     z = np.empty((len(rows), 2 * grid.n_points))
+    # row r is Generator(Philox(key=(master_seed, r))), one generator reset
+    # to a fresh state per row: a new Philox draws OS entropy it never uses
+    rng = Generator(Philox(key=np.array([master_seed, rows[0]], dtype=_U64)))
+    fresh = rng.bit_generator.state
     for r, out in zip(rows, z):
-        _realization_rng(master_seed, r).standard_normal(out=out)
+        fresh["state"]["key"] = np.array([master_seed, r], dtype=_U64)
+        rng.bit_generator.state = fresh
+        rng.standard_normal(out=out)
     g = (z[:, 0::2] + 1j * z[:, 1::2]) * np.sqrt(0.5)
     amp = np.sqrt(source.profile.intensity(grid.x)) * g
     return ComplexField(grid, amp if block else amp[0])

@@ -300,14 +300,25 @@ def _next_fast_len(target: int) -> int:
     return best
 
 
+def _power(base: complex, e: np.ndarray) -> np.ndarray:
+    """base ** e, bit for bit, with one log of a nonzero base: numpy multiplies
+    out integer exponents below 100 in magnitude and gives every other one to
+    the C library's cpow, cexp(e * clog(base)) with clog taken per element."""
+    out = np.exp(e * np.log(base))
+    small = (np.abs(e) < 100) & (e == np.floor(e))
+    out[small] = base ** e[small]
+    return out
+
+
 class _Bluestein:
     """Chirp-z transform of n inputs onto m outputs, z_k = a * w**-k, over the
-    last axis: scipy.signal.CZT's (1.17) expressions in its order, so its bits."""
+    last axis: scipy.signal.CZT's (1.17) expressions in its order but for its
+    two powers, which _power evaluates with their bits; so scipy's bits."""
 
     def __init__(self, n: int, m: int, w: complex, a: complex) -> None:
         k = np.arange(max(m, n), dtype=np.min_scalar_type(-max(m, n)**2))
-        wk2 = w**(k**2/2.)
-        self._Awk2 = (1.0*a)**-k[:n] * wk2[:n]
+        wk2 = _power(w, k**2/2.)
+        self._Awk2 = _power(1.0*a, -k[:n]) * wk2[:n]
         self.nfft = _next_fast_len(n + m - 1)
         self._Fwk2 = fft(1/np.hstack((wk2[n-1:0:-1], wk2[:m])), self.nfft)
         self._wk2 = wk2[:m]

@@ -9,6 +9,7 @@ file.
 from __future__ import annotations
 
 import json
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -20,8 +21,10 @@ from .runner import MetricsReport, primary_profile
 __all__ = ["export_results", "read_profile_csv"]
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+def _fmt_all(values) -> list:
+    """Each value as a 17-significant-digit decimal, formatted from Python
+    floats rather than numpy scalars."""
+    return [format(x, ".17g") for x in np.asarray(values, dtype=float).tolist()]
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -29,27 +32,26 @@ def _write_text(path: Path, text: str) -> None:
         fh.write(text)
 
 
-def _profile_csv(profile: CorrelationProfile) -> str:
-    lines = ["x2_m,delta_g2,std_err"]
-    for x, d, s in zip(profile.x2, profile.delta_g2, profile.std_err):
-        lines.append(f"{_fmt(x)},{_fmt(d)},{_fmt(s)}")
-    return "\n".join(lines) + "\n"
+def _csv(header: str, blocks) -> str:
+    """header, then a line per row of each block of formatted columns; one
+    block's strings are alive at a time."""
+    return header + "\n" + "".join(
+        "".join([",".join(row) + "\n" for row in zip(*columns)]) for columns in blocks)
 
 
-def _sweep_csv(rows) -> str:
-    lines = ["z2_m,x2_m,delta_g2"]
-    for p in rows:
-        z2 = p.metadata["z2"]
-        for x, d in zip(p.x2, p.delta_g2):
-            lines.append(f"{_fmt(z2)},{_fmt(x)},{_fmt(d)}")
-    return "\n".join(lines) + "\n"
+def _profile_csv(p: CorrelationProfile) -> str:
+    return _csv("x2_m,delta_g2,std_err", [map(_fmt_all, (p.x2, p.delta_g2, p.std_err))])
 
 
-def _histogram_csv(hist: CoincidenceHistogram, g2: np.ndarray) -> str:
-    lines = ["delay_s,counts,g2"]
-    for t, c, g in zip(hist.bin_centers, hist.counts, g2):
-        lines.append(f"{_fmt(t)},{int(c)},{_fmt(g)}")
-    return "\n".join(lines) + "\n"
+def _sweep_blocks(rows):
+    """Each row's (z2, x2, delta_g2) columns; the x2 grid that the rows
+    share is formatted once per distinct grid."""
+    grids = {}
+    for p, z2 in zip(rows, _fmt_all([p.metadata["z2"] for p in rows])):
+        key = np.asarray(p.x2, dtype=float).tobytes()
+        if key not in grids:
+            grids[key] = _fmt_all(p.x2)
+        yield repeat(z2), grids[key], _fmt_all(p.delta_g2)
 
 
 def read_profile_csv(path) -> dict:
@@ -152,7 +154,7 @@ def export_results(profiles, report: MetricsReport, out_dir) -> list:
         sweep_rows = [p for p in correlation
                       if p.metadata.get("role") == "sweep"]
         if sweep_rows:
-            emit("sweep.csv", _sweep_csv(sweep_rows))
+            emit("sweep.csv", _csv("z2_m,x2_m,delta_g2", _sweep_blocks(sweep_rows)))
         for p in correlation:
             role = p.metadata.get("role")
             if role == "analytic" and p is not main:
@@ -164,7 +166,8 @@ def export_results(profiles, report: MetricsReport, out_dir) -> list:
 
     for hist in histograms:
         g2 = estimate_g2(hist).g2_curve
-        emit("histogram.csv", _histogram_csv(hist, g2))
+        emit("histogram.csv", _csv("delay_s,counts,g2", [(
+            _fmt_all(hist.bin_centers), map(str, hist.counts.tolist()), _fmt_all(g2))]))
         emit("profile.svg",
              _svg_plot(hist.bin_centers, g2, "delay [s]", "g2"))
 

@@ -108,6 +108,57 @@ def test_histogram_export(tmp_path):
     assert len(lines) == 41
 
 
+# --- CSV bytes against a per-line oracle ---
+
+
+def oracle_csv(header, rows):
+    """The CSV bytes from one format() per value: floats to 17 significant
+    digits, integers as they are."""
+    def text(v):
+        return str(v) if isinstance(v, int) else format(float(v), ".17g")
+    lines = [header] + [",".join(map(text, row)) for row in rows]
+    return ("\n".join(lines) + "\n").encode()
+
+
+def _sweep_row(x2, delta, z2, focus=False):
+    return gs.CorrelationProfile(np.array(x2), np.array(delta), np.zeros(len(x2)), 0,
+                                 {"role": "sweep", "z2": z2, "is_focus_row": focus})
+
+
+SPECIAL = [-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, 0.1, -1.7976931348623157e308]
+
+
+@pytest.mark.parametrize("shared_x2", [True, False], ids=["shared_x2", "own_x2"])
+def test_sweep_and_profile_csv_match_the_oracle(tmp_path, shared_x2):
+    grid = np.linspace(-3e-3, 4e-3, len(SPECIAL))
+    grid[3] = 0.0
+    # -0.0 == 0.0, yet the two grids print differently
+    signed = np.where(grid == 0.0, -0.0, grid)
+    grids = [grid.copy() for _ in range(4)] if shared_x2 else [
+        grid, grid[:5], grid * 0.3, signed]
+    rows = [_sweep_row(grids[0], np.linspace(0.0, 1.0, 8), 0.2, focus=True)] + [
+        _sweep_row(g, np.roll(SPECIAL, i)[:len(g)], z2)
+        for i, (g, z2) in enumerate(zip(grids[1:], [0.25, np.float64(1 / 3), 0.35]), 1)]
+    gs.export_results(rows, gs.MetricsReport(method="analytic", runtime_seconds=0.1),
+                      tmp_path)
+    sweep = [(p.metadata["z2"], x, d) for p in rows for x, d in zip(p.x2, p.delta_g2)]
+    assert (tmp_path / "sweep.csv").read_bytes() == oracle_csv("z2_m,x2_m,delta_g2", sweep)
+    main = rows[0]
+    assert (tmp_path / "profile.csv").read_bytes() == oracle_csv(
+        "x2_m,delta_g2,std_err", zip(main.x2, main.delta_g2, main.std_err))
+
+
+def test_histogram_csv_matches_the_oracle(tmp_path):
+    centers = (np.arange(40) + 0.5) * 1e-10
+    counts = np.round(1e5 * (1 + np.exp(-2 * centers / 2e-10))).astype(np.int64)
+    h = gs.CoincidenceHistogram(1e-10, centers, counts, 10**9, 10**7)
+    report = gs.MetricsReport(method="montecarlo", runtime_seconds=0.1)
+    gs.export_results([h], report, tmp_path)
+    g2 = gs.estimate_g2(h).g2_curve
+    assert (tmp_path / "histogram.csv").read_bytes() == oracle_csv(
+        "delay_s,counts,g2", zip(h.bin_centers, map(int, h.counts), g2))
+
+
 # --- command line ---
 
 def test_cli_run_mc(tmp_path, tiny_scenario_text):

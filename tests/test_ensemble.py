@@ -361,3 +361,17 @@ def test_drawn_block_rows_are_single_draws(small_rig):
         assert np.array_equal(row, one.amplitude)
     with pytest.raises(InvalidArgumentError):
         gs.draw_source_realization(small_rig.source, small_rig.source_grid, range(-1, 2), 1)
+
+
+@pytest.mark.parametrize("seed", [0, 123, 2**64 - 1])
+def test_drawn_rows_are_fresh_philox_streams(small_rig, seed):
+    # each row is the stream of a new Generator(Philox(key=(seed, r))),
+    # whatever rows were drawn before it in the same block
+    grid = small_rig.source_grid
+    scale = np.sqrt(small_rig.source.profile.intensity(grid.x))
+    for rows in (range(0, 1), range(5, 12)):
+        block = gs.draw_source_realization(small_rig.source, grid, rows, seed).amplitude
+        for r, row in zip(rows, block):
+            key = np.array([seed, r], dtype=np.uint64)
+            z = Generator(Philox(key=key)).standard_normal(2 * grid.n_points)
+            assert np.array_equal(row, scale * ((z[0::2] + 1j * z[1::2]) * np.sqrt(0.5)))

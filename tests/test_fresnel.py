@@ -9,6 +9,7 @@ from scipy.signal import CZT, czt
 
 import ghostsim as gs
 from ghostsim import InvalidArgumentError, SamplingCriterionError, coherence, optics
+from ghostsim.cli import preset_text
 
 LAM = 693e-9
 
@@ -198,6 +199,31 @@ def test_next_fast_len_is_scipys_complex_length():
         assert optics._next_fast_len(target) == next_fast_len(target), target
     for target in np.unique(np.geomspace(1 << 16, 1 << 23, 2000).astype(int)):
         assert optics._next_fast_len(int(target)) == next_fast_len(int(target))
+
+
+# the plan's two powers in the dtypes _Bluestein gives them: w**(k**2/2.) up
+# to k = 60 000, (1.0*a)**-k up to k = 3000, and the half-integers between,
+# where numpy's power switches from multiplying out to cpow at |e| = 100
+@pytest.mark.parametrize("exponents", [
+    np.arange(60_000, dtype=np.min_scalar_type(-60_000**2))**2 / 2.,
+    np.arange(-150, 151) / 2.,
+    -np.arange(3000, dtype=np.min_scalar_type(-3000**2)),
+], ids=["half_squares", "half_integers", "negative_integers"])
+def test_power_has_the_bits_of_complex_power(exponents):
+    thetas = np.geomspace(1e-12, np.pi, 303)
+    for theta in np.concatenate([thetas, -thetas]):
+        base = np.exp(1j * theta)
+        assert np.array_equal(optics._power(base, exponents), base**exponents), theta
+
+
+def test_fig3_sweep_keeps_the_bits_of_plain_power(tmp_path, monkeypatch):
+    cfg = gs.parse_scenario(preset_text("fig3"))
+    gs.export_results(*gs.run_scenario(cfg, workers=2), tmp_path / "helper")
+    monkeypatch.setattr(optics, "_power", lambda base, e: base**e)
+    gs.export_results(*gs.run_scenario(cfg, workers=2), tmp_path / "power")
+    for name in ("sweep.csv", "profile.csv", "metrics.json"):
+        assert ((tmp_path / "helper" / name).read_bytes()
+                == (tmp_path / "power" / name).read_bytes()), name
 
 
 def test_one_plan_shared_by_many_workers():
