@@ -205,8 +205,7 @@ def _autocorrelation(g: np.ndarray) -> np.ndarray:
     """R_m = sum_q g_{q+m} conj(g_q) for m = 0..n-1, from one zero-padded FFT.
 
     The inverse transform of the real power spectrum p is taken as
-    conj(rfft(p, norm="forward")): that is how scipy.fft.ifft transforms a
-    real array, so R has its bits, at half the work of a complex ifft.
+    conj(rfft(p, norm="forward")), at half the work of a complex ifft.
     """
     n = g.size
     spec = fft(g, _next_fast_len(2 * n - 1))
@@ -232,12 +231,10 @@ def _numerator_fixed(
         A_m = sum_x1 W(x1) exp(-2i*pi*m*h*x1/(lambda*z1)).
 
     R and A are Hermitian in m, so the sum runs over m >= 0 with the
-    terms m > 0 doubled. R is one FFT pair (_autocorrelation, numpy.fft
-    with scipy.fft's bits); A and the sum over m are chirp sums
-    with their chirps undone, so each pass costs three transforms whatever
-    the mask. Starting the lags at m = 0 keeps the largest terms at the
-    start of the chirp-z input, where the Bluestein chirp w**(k^2/2) has
-    drifted least.
+    terms m > 0 doubled, which halves the transform lengths. R is one FFT
+    pair (_autocorrelation); A and the sum over m are chirp sums with
+    their chirps undone, so each pass costs three transforms whatever
+    the mask.
 
     The mean of N over a detector of full width D centred on x2 multiplies
     each lag term by its box transform sinc(m*h*D/(lambda*z2)).

@@ -16,9 +16,7 @@ Determinism contract: the deviates of realization r are a pure function of
 pair. Worker count and scheduling cannot change any result bit.
 
 Realizations run in blocks, one (B, n) array per Fresnel leg, and each row
-keeps its own stream and the bits it has run alone. B = max(1, 2**14 //
-nfft), nfft the larger Bluestein length of the legs, is 1 (a 1-D row)
-wherever a batched transform would round differently (see optics).
+keeps its own stream and the bits it has run alone.
 """
 
 from __future__ import annotations
@@ -196,8 +194,9 @@ def _leg_plans(geom: OpticalGeometry, cfg: EnsembleConfig, wavelength: float) ->
 
 
 def _block_size(plans: tuple) -> int:
-    """Realizations per block, from the larger Bluestein length of the legs."""
-    return max(1, 2**14 // max(p.bluestein.nfft for p in plans))
+    """Realizations per block: about 2**14 complex values per transform
+    of the larger chirp-z length of the legs, to bound a block's memory."""
+    return max(1, 2**14 // max(p.nfft for p in plans))
 
 
 def _mc_records(
@@ -214,11 +213,9 @@ def _mc_records(
     plans = _leg_plans(geom, cfg, source.wavelength)
 
     def work(rows: range) -> None:
-        # a block of one goes through as the 1-D row
-        index = rows if len(rows) > 1 else rows.start
-        f = draw_source_realization(source, cfg.source_grid, index, cfg.master_seed)
-        i1[index], i2[index] = simulate_realization(f, mask, geom, cfg,
-                                                    source.wavelength, plans)
+        f = draw_source_realization(source, cfg.source_grid, rows, cfg.master_seed)
+        i1[rows], i2[rows] = simulate_realization(f, mask, geom, cfg,
+                                                  source.wavelength, plans)
 
     b = _block_size(plans)
     fan_out(work, [range(s, min(n, s + b)) for s in range(0, n, b)], n_workers)

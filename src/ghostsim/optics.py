@@ -13,23 +13,17 @@ intensity in this package.
 Two execution paths compute the same finite sum:
 
 * ``method="direct"``  blockwise O(N*M) quadrature, kept as the oracle,
-* ``method="fast"``    chirp factoring
-  exp(i*pi*(x-y)^2/(lz)) = exp(i*pi*x^2/lz) * exp(i*pi*y^2/lz) * exp(-2i*pi*x*y/lz)
-  which turns the sum into a chirp-z transform between the two grids
-  (Bluestein, O((N+M) log(N+M)) via _Bluestein, a private plan with the
-  bits of scipy.signal.CZT). Its FFTs are numpy.fft's: on numpy >= 2.0
-  that is the pocketfft scipy.fft wraps, so with _next_fast_len's
-  lengths the bits are scipy's and no scipy module is imported.
+* ``method="fast"``    the chirp-z factoring of (x-y)^2 on the two grids
+  (Bluestein, O((N+M) log(N+M))) through a _ChirpPlan, whose phases are
+  computed from the grids and rounded once; its FFTs are numpy.fft's.
 
-A _ChirpPlan holds the pre-chirp phase, _Bluestein plan and post-chirp of
-one (input grid, output grid, lambda*z, sign). Both transforms take one or
-build one per call; nothing is cached. The Monte Carlo builds its two
+A _ChirpPlan holds the pre-chirp, the kernel's spectrum and the post-chirp
+of one (input grid, output grid, lambda*z, sign). Both transforms take one
+or build one per call; nothing is cached. The Monte Carlo builds its two
 once and shares them read-only among its workers.
 
 Both sum over the last axis; leading axes (a block of realizations) are
-kept. A block row has the bits of a 1-D call only while 1-D temporaries
-stay under 256 KiB (past that numpy multiplies them in place with swapped
-operands, a block never), so only Bluestein lengths up to 8192 are batched.
+kept, and a block row of the fast path has the bits of a 1-D call.
 
 Both refuse to run when either grid undersamples the chirp:
 dx > lambda*z / (2*span) with span the extent of the union of the two
@@ -247,8 +241,8 @@ def chirp_kernel_sum(
     The sum runs over the last axis of ``values``; leading axes are kept.
     No quadrature weight or normalization is applied; callers supply both.
     ``method="direct"`` is the O(N*M) reference sum, ``method="fast"`` the
-    Bluestein chirp-z factorization of the same sum, through ``plan`` if
-    one built for these grids, lambda_z and sign is given.
+    chirp-z factorization of the same sum, through ``plan`` if one built
+    for these grids, lambda_z and sign is given.
     """
     if sign not in (1, -1):
         raise InvalidArgumentError("sign must be +1 or -1")
@@ -280,8 +274,8 @@ def chirp_kernel_sum(
 
 
 def _next_fast_len(target: int) -> int:
-    """Smallest 2*3*5*7*11-smooth integer >= target: the length
-    scipy.fft.next_fast_len gives a complex transform."""
+    """Smallest 2*3*5*7*11-smooth integer >= target: pocketfft's fast
+    radices, the length scipy.fft.next_fast_len gives a complex transform."""
     best = 2 * target
     p11 = 1
     while p11 < best:
@@ -300,56 +294,45 @@ def _next_fast_len(target: int) -> int:
     return best
 
 
-def _power(base: complex, e: np.ndarray) -> np.ndarray:
-    """base ** e, bit for bit, with one log of a nonzero base: numpy multiplies
-    out integer exponents below 100 in magnitude and gives every other one to
-    the C library's cpow, cexp(e * clog(base)) with clog taken per element."""
-    out = np.exp(e * np.log(base))
-    small = (np.abs(e) < 100) & (e == np.floor(e))
-    out[small] = base ** e[small]
-    return out
-
-
-class _Bluestein:
-    """Chirp-z transform of n inputs onto m outputs, z_k = a * w**-k, over the
-    last axis: scipy.signal.CZT's (1.17) expressions in its order but for its
-    two powers, which _power evaluates with their bits; so scipy's bits."""
-
-    def __init__(self, n: int, m: int, w: complex, a: complex) -> None:
-        k = np.arange(max(m, n), dtype=np.min_scalar_type(-max(m, n)**2))
-        wk2 = _power(w, k**2/2.)
-        self._Awk2 = _power(1.0*a, -k[:n]) * wk2[:n]
-        self.nfft = _next_fast_len(n + m - 1)
-        self._Fwk2 = fft(1/np.hstack((wk2[n-1:0:-1], wk2[:m])), self.nfft)
-        self._wk2 = wk2[:m]
-        self._yidx = slice(n - 1, n + m - 1)
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        y = ifft(self._Fwk2 * fft(x*self._Awk2, self.nfft))
-        return y[..., self._yidx] * self._wk2
-
-
 class _ChirpPlan:
-    """The fast chirp sum of one key (in_grid, out_grid, lambda_z, sign): its
-    pre-chirp phase, Bluestein plan and post-chirp, set once when it is
-    built. Applying it only reads them, so threads may share one plan."""
+    """The fast chirp sum of one key (in_grid, out_grid, lambda_z, sign).
+
+    With x_j = x_0 + j*dx, y_k = y_0 + k*dy, t = sign*pi/lambda_z and
+    c = dx*dy, -2jk = (k-j)^2 - j^2 - k^2 splits t*(x_j - y_k)^2 into
+    three terms:
+
+        pre-chirp   t*((x_j - y_0)^2 - c*j^2)
+        post-chirp  t*((y_k - y_0)^2 - 2*(x_0 - y_0)*(y_k - y_0) - c*k^2)
+        kernel      t*c*l^2,  l = k - j;
+
+    so the sum is a convolution with the kernel over l = 1-n .. m-1, one
+    FFT pair of a _next_fast_len length. Every phase is computed from the
+    grids and rounded once, so none drifts with the index. The arrays are
+    set when the plan is built; applying it only reads them, so threads
+    may share one plan.
+    """
 
     def __init__(self, in_grid, out_grid, lambda_z: float, sign: int) -> None:
         self.key = (in_grid, out_grid, lambda_z, sign)
-        s, gamma = float(sign), 1.0 / lambda_z
-        self.phase = (s * 1j * np.pi * gamma) * in_grid.x**2
-        w = np.exp(-s * 2j * np.pi * gamma * in_grid.dx * out_grid.dx)
-        a = np.exp(s * 2j * np.pi * gamma * in_grid.dx * out_grid.x_min)
-        self.bluestein = _Bluestein(in_grid.n_points, out_grid.n_points, w, a)
-        y = out_grid.x
-        self.post = np.exp((s * 1j * np.pi * gamma) * y**2
-                           - (s * 2j * np.pi * gamma * in_grid.x_min) * y)
+        n, m = in_grid.n_points, out_grid.n_points
+        t, c = sign * np.pi / lambda_z, in_grid.dx * out_grid.dx
+        x0, y0 = in_grid.x_min, out_grid.x_min
+        y = out_grid.x - y0
+        self.pre = np.exp(1j * t * ((in_grid.x - y0)**2 - c * np.arange(n)**2))
+        self.post = np.exp(1j * t * (y**2 - 2 * (x0 - y0) * y - c * np.arange(m)**2))
+        self.nfft = _next_fast_len(n + m - 1)
+        self.kernel = fft(np.exp(1j * t * c * np.arange(1 - n, m)**2), self.nfft)
+        self._out = slice(n - 1, n + m - 1)
 
     def __call__(self, v: np.ndarray) -> np.ndarray:
-        # exp(phase) stays inline and the spectrum named: numpy multiplies a
-        # large temporary in place with swapped operands, which moves bits
-        spectrum = self.bluestein(v * np.exp(self.phase))
-        return self.post * spectrum
+        # the transform stays the left operand: a large 1-D temporary is
+        # then multiplied in place in the order a block row uses, so a
+        # block row keeps the bits of a 1-D call. The post-chirp goes onto
+        # the inverse transform's own slice: one more output-sized array
+        # per call nearly doubled the Monte Carlo's page faults.
+        y = ifft(fft(v * self.pre, self.nfft) * self.kernel)[..., self._out]
+        y *= self.post
+        return y
 
 
 def fresnel_propagate(

@@ -1,5 +1,7 @@
 """The run plan: parse, validate and run reject the same inputs."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -130,3 +132,37 @@ def test_a_scenario_that_parses_runs(text):
     except ConfigError:
         return
     gs.run_scenario(cfg)
+
+
+# the Fresnel phase pi*(x - y)^2/(lambda*z) is unchanged when every
+# transverse length scales by sqrt(s) and lambda*z by s, through lambda
+# alone or through every distance
+_STRETCHED = {"wavelength": ("wavelength",),
+              "distances": ("z1", "z2", "z2_min", "z2_max")}
+_TRANSVERSE = [k for k, (vtype, _, _) in scenario._KEY_TABLE.items()
+               if vtype == "length" and k not in sum(_STRETCHED.values(), ())]
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(_spatial_scenarios(), st.floats(-5.0, 2.0), st.sampled_from(sorted(_STRETCHED)))
+def test_results_are_invariant_under_fresnel_similarity(text, log_s, stretched):
+    try:
+        cfg = gs.parse_scenario(text)
+    except ConfigError:
+        return
+    if cfg.method != "analytic":
+        cfg = replace(cfg, n_realizations=4)
+    s = 10.0**log_s
+    factors = dict.fromkeys(_TRANSVERSE, np.sqrt(s)) | dict.fromkeys(_STRETCHED[stretched], s)
+    similar = replace(cfg, **{k: getattr(cfg, k) * f for k, f in factors.items()
+                              if getattr(cfg, k) is not None})
+    grids = [scenario.spatial_grids(c) for c in (cfg, similar)]
+    for name in ("source", "object", "detector", "detector_field"):
+        a, b = (getattr(g, name) for g in grids)
+        assert (a is None and b is None) or a.n_points == b.n_points, name
+    profiles, _ = gs.run_scenario(cfg)
+    similar_profiles, _ = gs.run_scenario(similar)
+    assert len(profiles) == len(similar_profiles)
+    for p, q in zip(profiles, similar_profiles):
+        peak = np.max(np.abs(p.delta_g2))
+        assert np.max(np.abs(p.delta_g2 - q.delta_g2)) <= 1e-10 * peak
