@@ -24,7 +24,9 @@ from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
+from .ensemble import _block_size, _bucket_span
 from .errors import ConfigError, GhostSimError
+from .optics import _DirectPlan, _plan_form
 from .runner import run_scenario
 from .output import export_results
 from .scenario import dump_scenario, parse_scenario, plan
@@ -171,13 +173,25 @@ def _cmd_validate(args) -> int:
     cfg = _load(args.scenario)
     print(f"OK: kind={cfg.kind} method={cfg.method} seed={cfg.seed}")
     if cfg.kind != "hbt":
-        g = plan(cfg).grids
+        p = plan(cfg)
+        g = p.grids
         for name, grid in (("source", g.source), ("object", g.object),
                            ("detector", g.detector),
                            ("detector field", g.detector_field)):
             if grid is not None:
                 print(f"{name} grid: {grid.n_points} points, "
                       f"dx = {grid.dx:.6g} m")
+    if cfg.kind != "hbt" and cfg.method != "analytic":
+        # each Monte Carlo leg's plan, by the run's own cost rule
+        legs = [("bucket", _bucket_span(p.mask, g.bucket)[0]),
+                ("detector", g.detector_field or g.detector)]
+        forms = [(leg, *_plan_form(g.source.n_points, out.n_points))
+                 for leg, out in legs]
+        rows = _block_size(width for *_, width in forms)
+        for leg, form, size, _ in forms:
+            what = ("direct, {} matrix entries" if form is _DirectPlan
+                    else "chirp-z, {} FFT points")
+            print(f"{leg} leg: {what.format(size)}, {rows} block rows")
     return EXIT_OK
 
 

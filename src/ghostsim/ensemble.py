@@ -16,7 +16,9 @@ Determinism contract: the deviates of realization r are a pure function of
 pair. Worker count and scheduling cannot change any result bit.
 
 Realizations run in blocks, one (B, n) array per Fresnel leg, and each row
-keeps its own stream and the bits it has run alone.
+keeps its own stream and the bits it has run alone through the run's leg
+plans (a kernel matrix or chirp-z, by the optics cost rule). The bucket
+leg reaches only the mask's transmitting span inside the bucket window.
 """
 
 from __future__ import annotations
@@ -33,8 +35,8 @@ from .optics import (
     OpticalGeometry,
     SourceSpec,
     TransmissionMask,
-    _ChirpPlan,
-    apply_mask,
+    _check_sampling,
+    _plan_form,
     fresnel_propagate,
 )
 
@@ -162,13 +164,11 @@ def simulate_realization(
     """Propagate one source realization, or a block of them along the
     field's leading axis, through both arms: (bucket signal i1, scanned
     intensity i2), each arm through its plan in ``plans`` (see _leg_plans)."""
-    f1 = fresnel_propagate(source_field, geom.z1, wavelength, cfg.object_grid,
-                           plan=plans[0])
-    f1 = apply_mask(f1, mask)
-    i0, i1_ = cfg.object_grid.index_range(*cfg.bucket_window)
-    a = f1.amplitude[..., i0:i1_]
-    bucket = np.sum(a.real**2 + a.imag**2, axis=-1) * cfg.object_grid.dx
-
+    if mask.grid != cfg.object_grid:
+        raise GridMismatchError("mask must live on the configured object grid")
+    # the detector leg, with the larger temporaries, runs first: in the
+    # other order the heap was trimmed and faulted in again every block
+    # (fig2: 35k minor page faults per run against 2k)
     fg = cfg.detector_field_grid if cfg.detector_aperture > 0 else cfg.detector_grid
     f2 = fresnel_propagate(source_field, geom.z2, wavelength, fg, plan=plans[1])
     a2 = f2.amplitude
@@ -183,20 +183,45 @@ def simulate_realization(
         if np.any(counts <= 0):
             raise InvalidArgumentError("an aperture window contains no field samples")
         i2 = (csum[..., hi] - csum[..., lo]) / counts
+
+    # the whole object grid must sample the chirp, not just the span
+    _check_sampling(geom.z1, wavelength, source_field.grid, cfg.object_grid)
+    span, t = _bucket_span(mask, cfg.bucket_window)
+    f1 = fresnel_propagate(source_field, geom.z1, wavelength, span, plan=plans[0])
+    a = f1.amplitude * t
+    bucket = np.sum(a.real**2 + a.imag**2, axis=-1) * cfg.object_grid.dx
     return bucket, i2
 
 
-def _leg_plans(geom: OpticalGeometry, cfg: EnsembleConfig, wavelength: float) -> tuple:
-    """The chirp plans of the two arms, as simulate_realization propagates them."""
+def _bucket_span(mask: TransmissionMask, window: tuple) -> tuple:
+    """(grid, t): the smallest sub-grid of the mask's grid, two points at
+    least, holding every sample that transmits inside the bucket window,
+    and the transmission there, zero outside the window."""
+    g = mask.grid
+    i0, i1 = g.index_range(*window)
+    lit = i0 + np.flatnonzero(mask.t[i0:i1])
+    lo = min(int(lit[0]) if lit.size else i0, g.n_points - 2)
+    hi = max(int(lit[-1]) + 1 if lit.size else 0, lo + 2)
+    t = np.zeros(hi - lo, dtype=np.complex128)
+    t[lit - lo] = mask.t[lit]
+    x = g.x
+    return TransverseGrid(float(x[lo]), float(x[hi - 1]), hi - lo), t
+
+
+def _leg_plans(mask: TransmissionMask, geom: OpticalGeometry, cfg: EnsembleConfig,
+               wavelength: float) -> tuple:
+    """The plans of the two arms, as simulate_realization propagates them,
+    each in the form optics._plan_form picks."""
+    sg, span = cfg.source_grid, _bucket_span(mask, cfg.bucket_window)[0]
     fg = cfg.detector_field_grid if cfg.detector_aperture > 0 else cfg.detector_grid
-    return (_ChirpPlan(cfg.source_grid, cfg.object_grid, wavelength * geom.z1, 1),
-            _ChirpPlan(cfg.source_grid, fg, wavelength * geom.z2, 1))
+    return tuple(_plan_form(sg.n_points, out.n_points)[0](sg, out, wavelength * z, 1)
+                 for out, z in ((span, geom.z1), (fg, geom.z2)))
 
 
-def _block_size(plans: tuple) -> int:
-    """Realizations per block: about 2**14 complex values per transform
-    of the larger chirp-z length of the legs, to bound a block's memory."""
-    return max(1, 2**14 // max(p.nfft for p in plans))
+def _block_size(widths) -> int:
+    """Realizations per block: about 2**14 complex values in the widest
+    leg's largest array (its plan's width), to bound a block's memory."""
+    return max(1, 2**14 // max(widths))
 
 
 def _mc_records(
@@ -210,14 +235,14 @@ def _mc_records(
     i1 = np.empty(n)
     i2 = np.empty((n, cfg.detector_grid.n_points))
     # built once and shared read-only by every worker
-    plans = _leg_plans(geom, cfg, source.wavelength)
+    plans = _leg_plans(mask, geom, cfg, source.wavelength)
 
     def work(rows: range) -> None:
         f = draw_source_realization(source, cfg.source_grid, rows, cfg.master_seed)
         i1[rows], i2[rows] = simulate_realization(f, mask, geom, cfg,
                                                   source.wavelength, plans)
 
-    b = _block_size(plans)
+    b = _block_size(p.width for p in plans)
     fan_out(work, [range(s, min(n, s + b)) for s in range(0, n, b)], n_workers)
     return i1, i2
 
@@ -248,8 +273,6 @@ def delta_g2_montecarlo(
     which. Raises DegenerateStatisticsError when no light ever reaches the
     bucket (e.g. an opaque mask).
     """
-    if mask.grid != cfg.object_grid:
-        raise GridMismatchError("mask must live on the configured object grid")
     n = cfg.n_realizations
     i1, i2 = _mc_records(mask, source, geom, cfg, n_workers)
     if not np.any(i1 > 0):

@@ -17,13 +17,14 @@ Two execution paths compute the same finite sum:
   (Bluestein, O((N+M) log(N+M))) through a _ChirpPlan, whose phases are
   computed from the grids and rounded once; its FFTs are numpy.fft's.
 
-A _ChirpPlan holds the pre-chirp, the kernel's spectrum and the post-chirp
-of one (input grid, output grid, lambda*z, sign). Both transforms take one
-or build one per call; nothing is cached. The Monte Carlo builds its two
-once and shares them read-only among its workers.
+A plan of one (input grid, output grid, lambda*z, sign) is a _ChirpPlan
+(pre-chirp, kernel spectrum, post-chirp) or a _DirectPlan (the direct
+path's kernel matrix), as _plan_form's cost rule picks. Both transforms
+take one or build a chirp plan per call; nothing is cached. The Monte
+Carlo builds its two once and shares them read-only among its workers.
 
 Both sum over the last axis; leading axes (a block of realizations) are
-kept, and a block row of the fast path has the bits of a 1-D call.
+kept. A row of a block has the bits of a 1-D call through the same plan.
 
 Both refuse to run when either grid undersamples the chirp:
 dx > lambda*z / (2*span) with span the extent of the union of the two
@@ -59,6 +60,10 @@ __all__ = [
 
 # |t| may exceed 1 by at most this much (rounding slack, not a feature)
 _MASK_TOL = 1e-12
+
+# _plan_form's cost rule (direct and chirp-z broke even at n*m = 16-20
+# nfft*log2(nfft) on a 2-core x86-64 VM with OpenBLAS); 2**20 entries = 16 MB
+_DIRECT_MARGIN, _DIRECT_MAX = 8, 2**20
 
 # quadrature support for a Gaussian profile, in units of the 1/e^2 half-width;
 # exp(-2 * 4.5^2) ~ 2.5e-18 of the peak is negligible against every tolerance here
@@ -234,15 +239,15 @@ def chirp_kernel_sum(
     lambda_z: float,
     sign: int = 1,
     method: str = "fast",
-    plan: _ChirpPlan | None = None,
+    plan: _ChirpPlan | _DirectPlan | None = None,
 ) -> np.ndarray:
     """Evaluate S_k = sum_j values_j * exp(sign * i*pi*(x_j - y_k)^2 / lambda_z).
 
     The sum runs over the last axis of ``values``; leading axes are kept.
     No quadrature weight or normalization is applied; callers supply both.
     ``method="direct"`` is the O(N*M) reference sum, ``method="fast"`` the
-    chirp-z factorization of the same sum, through ``plan`` if one built
-    for these grids, lambda_z and sign is given.
+    chirp-z factorization of the same sum, or ``plan`` (either form) if
+    one built for these grids, lambda_z and sign is given.
     """
     if sign not in (1, -1):
         raise InvalidArgumentError("sign must be +1 or -1")
@@ -250,27 +255,27 @@ def chirp_kernel_sum(
     if v.ndim < 1 or v.shape[-1] != in_grid.n_points:
         raise GridMismatchError("values do not match the input grid")
     if plan is not None and plan.key != (in_grid, out_grid, lambda_z, sign):
-        raise InvalidArgumentError("the chirp plan was built for another transform")
+        raise InvalidArgumentError("the plan was built for another transform")
 
     if method == "direct":
-        gamma = 1.0 / lambda_z
-        y = out_grid.x
-        x = in_grid.x
-        m = out_grid.n_points
-        out = np.empty(v.shape[:-1] + (m,), dtype=np.complex128)
+        x, y = in_grid.x, out_grid.x
+        out = np.empty(v.shape[:-1] + (y.size,), dtype=np.complex128)
         # block over outputs to keep the kernel matrix small
-        block = max(1, int(4_000_000 // max(1, x.size)))
-        for k0 in range(0, m, block):
-            k1 = min(m, k0 + block)
-            diff = x[None, :] - y[k0:k1, None]
-            kernel = np.exp((sign * 1j * np.pi * gamma) * diff * diff)
-            out[..., k0:k1] = kernel @ v if v.ndim == 1 else v @ kernel.T
+        block = max(1, 4_000_000 // x.size)
+        for k0 in range(0, y.size, block):
+            out[..., k0:k0 + block] = v @ _kernel(x, y[k0:k0 + block],
+                                                  sign * np.pi / lambda_z)
         return out
 
     if method != "fast":
         raise InvalidArgumentError(f"unknown propagation method '{method}'")
     plan = plan or _ChirpPlan(in_grid, out_grid, lambda_z, sign)
     return plan(v)
+
+
+def _kernel(x: np.ndarray, y: np.ndarray, t: float) -> np.ndarray:
+    """The (x.size, y.size) matrix exp(i*t*(x_j - y_k)^2)."""
+    return np.exp(1j * (t * (x[:, None] - y) ** 2))
 
 
 def _next_fast_len(target: int) -> int:
@@ -320,7 +325,7 @@ class _ChirpPlan:
         y = out_grid.x - y0
         self.pre = np.exp(1j * t * ((in_grid.x - y0)**2 - c * np.arange(n)**2))
         self.post = np.exp(1j * t * (y**2 - 2 * (x0 - y0) * y - c * np.arange(m)**2))
-        self.nfft = _next_fast_len(n + m - 1)
+        self.nfft = self.width = _next_fast_len(n + m - 1)
         self.kernel = fft(np.exp(1j * t * c * np.arange(1 - n, m)**2), self.nfft)
         self._out = slice(n - 1, n + m - 1)
 
@@ -335,13 +340,41 @@ class _ChirpPlan:
         return y
 
 
+class _DirectPlan:
+    """The direct sum of one key as one matrix product. A row of a product
+    of two rows or more has the same bits in every such block; BLAS rounds
+    a one-row product otherwise, so one row goes through as a block of two.
+    width, as a chirp plan's nfft, is the largest array of a row."""
+
+    def __init__(self, in_grid, out_grid, lambda_z: float, sign: int) -> None:
+        self.key = (in_grid, out_grid, lambda_z, sign)
+        self.matrix = _kernel(in_grid.x, out_grid.x, sign * np.pi / lambda_z)
+        self.width = max(in_grid.n_points, out_grid.n_points)
+
+    def __call__(self, v: np.ndarray) -> np.ndarray:
+        rows = v.reshape(-1, v.shape[-1])
+        y = (rows if len(rows) > 1 else np.concatenate((rows, rows))) @ self.matrix
+        return y[:len(rows)].reshape(v.shape[:-1] + y.shape[-1:])
+
+
+def _plan_form(n_in: int, n_out: int) -> tuple:
+    """The cost rule: (form, size, width) of an n_in -> n_out plan, the
+    (_DirectPlan, matrix entries, longer grid) while n_in*n_out is at most
+    _DIRECT_MAX and _DIRECT_MARGIN * nfft*log2(nfft), else (_ChirpPlan,
+    nfft, nfft)."""
+    nfft = _next_fast_len(n_in + n_out - 1)
+    if n_in * n_out <= min(_DIRECT_MAX, _DIRECT_MARGIN * nfft * np.log2(nfft)):
+        return _DirectPlan, n_in * n_out, max(n_in, n_out)
+    return _ChirpPlan, nfft, nfft
+
+
 def fresnel_propagate(
     field: ComplexField,
     distance: float,
     wavelength: float,
     out_grid: TransverseGrid,
     method: str = "fast",
-    plan: _ChirpPlan | None = None,
+    plan: _ChirpPlan | _DirectPlan | None = None,
 ) -> ComplexField:
     """Propagate a sampled field by ``distance`` onto ``out_grid``; ``plan``
     is chirp_kernel_sum's, for lambda_z = wavelength * distance and sign +1.

@@ -111,14 +111,13 @@ def tiny_scenario_text():
 
 @pytest.fixture
 def built_plans(monkeypatch):
-    """A weak reference to each chirp-z plan built while the test runs, on
-    any thread."""
+    """A weak reference to each plan, of either form, built while the test
+    runs, on any thread."""
     refs = []
-    build = optics._ChirpPlan.__init__
+    for form in (optics._ChirpPlan, optics._DirectPlan):
+        def recorded(plan, *args, _build=form.__init__):
+            _build(plan, *args)
+            refs.append(weakref.ref(plan))
 
-    def recorded(plan, *args):
-        build(plan, *args)
-        refs.append(weakref.ref(plan))
-
-    monkeypatch.setattr(optics._ChirpPlan, "__init__", recorded)
+        monkeypatch.setattr(form, "__init__", recorded)
     return refs

@@ -12,11 +12,15 @@ from ghostsim import (
     DegenerateStatisticsError,
     GridMismatchError,
     InvalidArgumentError,
+    SamplingCriterionError,
     ensemble,
+    optics,
+    runner,
     scenario,
 )
 from ghostsim.cli import preset_text
 from ghostsim.ensemble import fan_out
+from conftest import TINY_SCENARIO
 
 
 def test_draw_moments_match_gaussian_statistics():
@@ -293,16 +297,15 @@ def records_one_at_a_time(mask, source, geom, cfg):
     return i1, i2
 
 
+def _scenario_case(text, n):
+    cfg = gs.parse_scenario(text)
+    p = scenario.plan(cfg)
+    ecfg = replace(runner._ensemble_config(cfg, p.grids, cfg.seed), n_realizations=n)
+    return p.mask, p.source, cfg.geometry(), ecfg
+
+
 def _fig2_case(n):
-    cfg = gs.parse_scenario(preset_text("fig2"))
-    grids = scenario.spatial_grids(cfg)
-    ecfg = gs.EnsembleConfig(
-        n_realizations=n, master_seed=cfg.seed, source_grid=grids.source,
-        object_grid=grids.object, detector_grid=grids.detector,
-        bucket_window=grids.bucket, detector_aperture=cfg.detector_aperture,
-        detector_field_grid=grids.detector_field,
-    )
-    return cfg.build_mask(grids.object), cfg.source(), cfg.geometry(), ecfg
+    return _scenario_case(preset_text("fig2"), n)
 
 
 def _rig_case(rig, n, **kw):
@@ -311,7 +314,7 @@ def _rig_case(rig, n, **kw):
 
 
 def _big_source_case(rig, n):
-    # a 16385-point source grid: Bluestein length past 8192, so B = 1
+    # a 16385-point source grid: chirp-z length past 8192, so B = 1
     cfg = gs.EnsembleConfig(
         n_realizations=n, master_seed=8, source_grid=gs.make_grid(-2.2e-3, 2.2e-3, 16385),
         object_grid=rig.object_grid, detector_grid=rig.detector_grid,
@@ -320,28 +323,149 @@ def _big_source_case(rig, n):
     return gs.TransmissionMask.uniform(rig.object_grid), rig.source, rig.geom, cfg
 
 
+def _leg_plans(case):
+    mask, source, geom, cfg = case
+    return ensemble._leg_plans(mask, geom, cfg, source.wavelength)
+
+
+_CASES = {
+    "fig2": lambda rig: _fig2_case(40),
+    # 2 * 103 + 1: the last block is one row
+    "tiny": lambda rig: _scenario_case(TINY_SCENARIO, 207),
+    "point": lambda rig: _rig_case(rig, 70),
+    "aperture": lambda rig: _rig_case(
+        rig, 45, detector_aperture=0.2e-3,
+        detector_field_grid=gs.make_grid(-0.8e-3, 0.8e-3, 512)),
+    "big_source": lambda rig: _big_source_case(rig, 3),
+}
+
+
 @pytest.mark.parametrize("case, block", [
-    ("fig2", 18),
-    ("point", 32),
-    ("aperture", 21),
+    ("fig2", 31),      # both legs direct
+    ("tiny", 103),     # both legs direct
+    ("point", 42),     # both legs chirp-z
+    ("aperture", 21),  # both legs chirp-z
     ("big_source", 1),
 ])
 def test_block_records_match_one_realization_at_a_time(small_rig, case, block):
     # realization counts that no block size divides; 1, 2 and 3 workers
-    mask, source, geom, cfg = {
-        "fig2": lambda: _fig2_case(40),
-        "point": lambda: _rig_case(small_rig, 70),
-        "aperture": lambda: _rig_case(
-            small_rig, 45, detector_aperture=0.2e-3,
-            detector_field_grid=gs.make_grid(-0.8e-3, 0.8e-3, 512)),
-        "big_source": lambda: _big_source_case(small_rig, 3),
-    }[case]()
-    assert ensemble._block_size(ensemble._leg_plans(geom, cfg, source.wavelength)) == block
-    ref_i1, ref_i2 = records_one_at_a_time(mask, source, geom, cfg)
+    mask, source, geom, cfg = case_ = _CASES[case](small_rig)
+    plans = _leg_plans(case_)
+    assert ensemble._block_size(p.width for p in plans) == block
+    # bit for bit: the whole ensemble as one block through the same plans
+    whole = gs.draw_source_realization(source, cfg.source_grid,
+                                       range(cfg.n_realizations), cfg.master_seed)
+    one_i1, one_i2 = gs.simulate_realization(whole, mask, geom, cfg,
+                                             source.wavelength, plans)
     for workers in (1, 2, 3):
         i1, i2 = ensemble._mc_records(mask, source, geom, cfg, workers)
-        assert np.array_equal(i1, ref_i1)
-        assert np.array_equal(i2, ref_i2)
+        assert np.array_equal(i1, one_i1)
+        assert np.array_equal(i2, one_i2)
+    # within 1e-12 of the peak: the per-realization chirp formulas onto
+    # the whole object grid
+    ref_i1, ref_i2 = records_one_at_a_time(mask, source, geom, cfg)
+    assert np.max(np.abs(i1 - ref_i1)) <= 1e-12 * np.max(ref_i1)
+    assert np.max(np.abs(i2 - ref_i2)) <= 1e-12 * np.max(ref_i2)
+
+
+def test_records_do_not_depend_on_workers_or_blocks(monkeypatch):
+    # direct plans on fig2's legs; one-row blocks go through as blocks of
+    # two, so they keep the bits too
+    mask, source, geom, cfg = _fig2_case(100)
+    ref = ensemble._mc_records(mask, source, geom, cfg, 1)
+    for workers in (2, 8):
+        assert all(map(np.array_equal, ensemble._mc_records(mask, source, geom, cfg,
+                                                            workers), ref))
+    for block in (1, 2, 7):
+        monkeypatch.setattr(ensemble, "_block_size", lambda widths, b=block: b)
+        assert all(map(np.array_equal, ensemble._mc_records(mask, source, geom, cfg,
+                                                            2), ref))
+
+
+def test_direct_plan_never_runs_a_one_row_product():
+    # BLAS multiplies one row by the matrix-vector path, whose last bits
+    # differ from a block row's; blocks of two rows or more agree
+    gin = gs.make_grid(-0.835e-3, 0.835e-3, 65)
+    gout = gs.make_grid(-6e-3, 6e-3, 528)
+    plan = optics._DirectPlan(gin, gout, 692.9e-9 * 1.7, 1)
+    rng = np.random.default_rng(528)
+    v = rng.standard_normal((40, 65)) + 1j * rng.standard_normal((40, 65))
+    block = plan(v)
+    assert block.shape == (40, 528)
+    assert np.array_equal(plan(v[3]), block[3])
+    assert np.array_equal(plan(v[3:4]), block[3:4])
+    assert np.array_equal(plan(v[None, None, 3]), block[None, None, 3])
+    for k in range(2, 40):
+        assert np.array_equal(plan(v[40 - k:]), block[40 - k:])
+
+
+@pytest.mark.parametrize("case", ["fig2", "tiny"])
+def test_direct_plans_match_both_chirp_sums(small_rig, case):
+    for plan in _leg_plans(_CASES[case](small_rig)):
+        assert isinstance(plan, optics._DirectPlan)
+        n = plan.key[0].n_points
+        rng = np.random.default_rng(n)
+        v = rng.standard_normal((5, n)) + 1j * rng.standard_normal((5, n))
+        got = optics.chirp_kernel_sum(v, *plan.key, plan=plan)
+        direct = optics.chirp_kernel_sum(v, *plan.key, method="direct")
+        chirp = optics.chirp_kernel_sum(v, *plan.key)
+        peak = np.max(np.abs(direct))
+        assert np.max(np.abs(got - direct)) <= 1e-12 * peak
+        assert np.max(np.abs(got - chirp)) <= 1e-12 * peak
+
+
+def test_cost_rule_picks_each_legs_form(small_rig):
+    assert [type(p) for p in _leg_plans(_fig2_case(2))] == [optics._DirectPlan] * 2
+    assert [type(p) for p in _leg_plans(_big_source_case(small_rig, 2))] == [
+        optics._ChirpPlan] * 2
+    # fig3 by Monte Carlo: 2122 source nodes onto 3362 detector points
+    # (sizes only; its dense matrix would take 114 MB)
+    g = scenario.spatial_grids(gs.parse_scenario(preset_text("fig3")))
+    form = optics._plan_form(g.source.n_points, g.detector.n_points)[0]
+    assert form is optics._ChirpPlan
+    assert optics._plan_form(65, 528) == (optics._DirectPlan, 65 * 528, 528)
+    assert optics._plan_form(528, 65) == (optics._DirectPlan, 65 * 528, 528)
+
+
+def test_bucket_leg_reaches_only_the_transmitting_span(small_rig):
+    mask, source, geom, cfg = _fig2_case(2)
+    span, t = ensemble._bucket_span(mask, cfg.bucket_window)
+    lit = np.flatnonzero(mask.t)
+    assert span.n_points == lit[-1] - lit[0] + 1 < cfg.object_grid.n_points
+    assert np.allclose(span.x, cfg.object_grid.x[lit[0]:lit[-1] + 1], rtol=0,
+                       atol=1e-12 * span.dx)
+    assert np.array_equal(t, mask.t[lit[0]:lit[-1] + 1])
+    # a window that cuts a slit: its samples outside the window weigh nothing
+    rig = small_rig
+    slits = gs.TransmissionMask.double_slit(rig.object_grid, 150e-6, 350e-6)
+    span, t = ensemble._bucket_span(slits, (-0.2e-3, 0.6e-3))
+    inside = slits.t[rig.object_grid.index_range(-0.2e-3, 0.6e-3)[0]:]
+    assert np.count_nonzero(t) == np.count_nonzero(inside)
+    # one transmitting sample, or none, still makes a two-point grid
+    one = gs.TransmissionMask.opaque(rig.object_grid)
+    one.t[-1] = 1.0
+    span, t = ensemble._bucket_span(one, rig.bucket)
+    assert span.n_points == 2 and span.x_max == rig.object_grid.x_max
+    assert list(t) == [0.0, 1.0]
+    one.t[-1] = 0.0
+    span, t = ensemble._bucket_span(one, rig.bucket)
+    assert span.n_points == 2 and not t.any()
+
+
+def test_sampling_is_checked_on_the_whole_object_grid(small_rig):
+    # 15 um object samples on a 12 mm window undersample the chirp, although
+    # the slits' span alone, with the same spacing, would pass
+    rig = small_rig
+    source_grid = gs.make_grid(-2.2e-3, 2.2e-3, 801)
+    wide = gs.make_grid(-6e-3, 6e-3, 801)
+    mask = gs.TransmissionMask.double_slit(wide, 150e-6, 350e-6)
+    cfg = gs.EnsembleConfig(n_realizations=4, master_seed=3, source_grid=source_grid,
+                            object_grid=wide, detector_grid=rig.detector_grid,
+                            bucket_window=(-6e-3, 6e-3))
+    span = ensemble._bucket_span(mask, cfg.bucket_window)[0]
+    optics._check_sampling(rig.geom.z1, rig.lam, source_grid, span)
+    with pytest.raises(SamplingCriterionError, match="output grid"):
+        gs.delta_g2_montecarlo(mask, rig.source, rig.geom, cfg)
 
 
 @pytest.mark.parametrize("workers", [1, 2, 8])

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ghostsim as gs
-from ghostsim import ConfigError, cli, runner, scenario
+from ghostsim import ConfigError, cli, ensemble, optics, runner, scenario
 from ghostsim.cli import preset_text
 from conftest import TINY_SCENARIO
 
@@ -47,11 +47,36 @@ def test_validate_reports_the_planned_grids(tmp_path, capsys):
     g = scenario.spatial_grids(gs.parse_scenario(preset_text("fig2")))
     planned = [(g.source, "source"), (g.object, "object"),
                (g.detector, "detector"), (g.detector_field, "detector field")]
-    assert len(out) == 1 + len(planned)
+    assert len(out) == 1 + len(planned) + 2
     for line, (grid, name) in zip(out[1:], planned):
         assert line.startswith(f"{name} grid: {grid.n_points} points, dx = ")
         assert float(line.split("dx = ")[1].split()[0]) == pytest.approx(
             grid.dx, rel=1e-5)
+    assert out[-2:] == _leg_lines(preset_text("fig2"))
+    assert out[-2:] == ["bucket leg: direct, 10790 matrix entries, 31 block rows",
+                        "detector leg: direct, 34320 matrix entries, 31 block rows"]
+    # fig3 by Monte Carlo: chirp-z legs
+    fig3 = preset_text("fig3").replace("method = analytic", "method = montecarlo")
+    scen.write_text(fig3)
+    assert cli.main(["validate", str(scen)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[-2:] == _leg_lines(fig3)
+    assert [line.split(",")[0] for line in out[-2:]] == ["bucket leg: chirp-z",
+                                                         "detector leg: chirp-z"]
+
+
+def _leg_lines(text):
+    """validate's leg lines from the plans a run of text builds."""
+    cfg = gs.parse_scenario(text)
+    p = scenario.plan(cfg)
+    plans = ensemble._leg_plans(p.mask, cfg.geometry(z2=cfg.z1),
+                                runner._ensemble_config(cfg, p.grids, cfg.seed),
+                                p.source.wavelength)
+    rows = ensemble._block_size(q.width for q in plans)
+    return [f"{leg} leg: direct, {q.matrix.size} matrix entries, {rows} block rows"
+            if isinstance(q, optics._DirectPlan) else
+            f"{leg} leg: chirp-z, {q.nfft} FFT points, {rows} block rows"
+            for leg, q in zip(("bucket", "detector"), plans)]
 
 
 def test_analytic_route_integrates_only_the_bucket_window():
