@@ -24,10 +24,10 @@ from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
-from .ensemble import _block_size, _bucket_span
+from .ensemble import _Legs
 from .errors import ConfigError, GhostSimError
-from .optics import _DirectPlan, _plan_form
-from .runner import run_scenario
+from .optics import _DirectPlan
+from .runner import _ensemble_config, run_scenario
 from .output import export_results
 from .scenario import dump_scenario, parse_scenario, plan
 
@@ -182,16 +182,13 @@ def _cmd_validate(args) -> int:
                 print(f"{name} grid: {grid.n_points} points, "
                       f"dx = {grid.dx:.6g} m")
     if cfg.kind != "hbt" and cfg.method != "analytic":
-        # each Monte Carlo leg's plan, by the run's own cost rule
-        legs = [("bucket", _bucket_span(p.mask, g.bucket)[0]),
-                ("detector", g.detector_field or g.detector)]
-        forms = [(leg, *_plan_form(g.source.n_points, out.n_points))
-                 for leg, out in legs]
-        rows = _block_size(width for *_, width in forms)
-        for leg, form, size, _ in forms:
-            what = ("direct, {} matrix entries" if form is _DirectPlan
-                    else "chirp-z, {} FFT points")
-            print(f"{leg} leg: {what.format(size)}, {rows} block rows")
+        # the legs a Monte Carlo run derives: at any z2, the same grids
+        legs = _Legs(p.mask, cfg.geometry(z2=cfg.z2_values()[0]),
+                     _ensemble_config(cfg, g, cfg.seed), cfg.wavelength)
+        for leg, q in zip(("bucket", "detector"), legs.plans):
+            what = (f"direct, {q.matrix.size} matrix entries"
+                    if isinstance(q, _DirectPlan) else f"chirp-z, {q.nfft} FFT points")
+            print(f"{leg} leg: {what}, {legs.rows} block rows")
     return EXIT_OK
 
 

@@ -131,12 +131,9 @@ class G2Estimate(NamedTuple):
     contrast: float
 
 
-def _rng(seed: int, stream: int = 0) -> Generator:
-    return Generator(Philox(key=np.array([seed, stream], dtype=np.uint64)))
-
-
 def _rng_at(seed: int, word: int) -> Generator:
-    """_rng(seed) with its first ``word`` 64-bit outputs already consumed."""
+    """Generator(Philox(key=(seed, 0))) with its first ``word`` 64-bit
+    outputs already consumed."""
     bits = Philox(key=np.array([seed, 0], dtype=np.uint64))
     bits.advance(word // 4)
     bits.random_raw(word % 4)
@@ -169,7 +166,7 @@ def simulate_intensity_trace(
     if duration < 100.0 * tau0:
         raise InvalidArgumentError("duration must be at least 100 * tau0")
     n = int(round(duration / dt))
-    rng = _rng(seed)
+    rng = _rng_at(seed, 0)
     rho = np.exp(-dt / tau0)
     s = np.sqrt(1.0 - rho * rho)
     # The normals come in (real, imag) pairs. Filtered as one interleaved

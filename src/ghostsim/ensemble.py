@@ -15,10 +15,12 @@ Determinism contract: the deviates of realization r are a pure function of
 (master_seed, r), generated from a counter-based Philox stream keyed by that
 pair. Worker count and scheduling cannot change any result bit.
 
-Realizations run in blocks, one (B, n) array per Fresnel leg, and each row
-keeps its own stream and the bits it has run alone through the run's leg
-plans (a kernel matrix or chirp-z, by the optics cost rule). The bucket
-leg reaches only the mask's transmitting span inside the bucket window.
+A run derives its two Fresnel legs once (_Legs): the grids they land on,
+their plans (a kernel matrix or chirp-z, by the optics cost rule), the
+mask's transmitting span inside the bucket window, which is all the bucket
+leg reaches, and the aperture windows. Realizations then run in blocks, one
+(B, n) array per leg, and each row keeps its own stream and the bits it
+has run alone through the same legs.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .optics import (
     SourceSpec,
     TransmissionMask,
     _check_sampling,
-    _plan_form,
+    _plan,
     fresnel_propagate,
 )
 
@@ -48,7 +50,6 @@ __all__ = [
     "delta_g2_montecarlo",
 ]
 
-_U64 = np.uint64
 _BATCHES = 16  # batch-means count when n_realizations allows it
 
 
@@ -142,10 +143,11 @@ def draw_source_realization(
     z = np.empty((len(rows), 2 * grid.n_points))
     # row r is Generator(Philox(key=(master_seed, r))), one generator reset
     # to a fresh state per row: a new Philox draws OS entropy it never uses
-    rng = Generator(Philox(key=np.array([master_seed, rows[0]], dtype=_U64)))
+    rng = Generator(Philox(key=np.array([master_seed, rows[0]], dtype=np.uint64)))
     fresh = rng.bit_generator.state
+    key = fresh["state"]["key"]
     for r, out in zip(rows, z):
-        fresh["state"]["key"] = np.array([master_seed, r], dtype=_U64)
+        key[1] = r
         rng.bit_generator.state = fresh
         rng.standard_normal(out=out)
     g = (z[:, 0::2] + 1j * z[:, 1::2]) * np.sqrt(0.5)
@@ -159,38 +161,61 @@ def simulate_realization(
     geom: OpticalGeometry,
     cfg: EnsembleConfig,
     wavelength: float,
-    plans: tuple = (None, None),
+    legs: _Legs | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Propagate one source realization, or a block of them along the
     field's leading axis, through both arms: (bucket signal i1, scanned
-    intensity i2), each arm through its plan in ``plans`` (see _leg_plans)."""
-    if mask.grid != cfg.object_grid:
-        raise GridMismatchError("mask must live on the configured object grid")
+    intensity i2). ``legs`` is the _Legs of these arguments, which a run
+    derives once; without it they are derived here, and the call still has
+    the bits of its rows in a run."""
+    legs = legs or _Legs(mask, geom, cfg, wavelength)
+    bucket_plan, detector_plan = legs.plans
     # the detector leg, with the larger temporaries, runs first: in the
     # other order the heap was trimmed and faulted in again every block
     # (fig2: 35k minor page faults per run against 2k)
-    fg = cfg.detector_field_grid if cfg.detector_aperture > 0 else cfg.detector_grid
-    f2 = fresnel_propagate(source_field, geom.z2, wavelength, fg, plan=plans[1])
+    f2 = fresnel_propagate(source_field, geom.z2, wavelength, legs.field_grid,
+                           plan=detector_plan)
     a2 = f2.amplitude
     i2 = a2.real**2 + a2.imag**2
     if cfg.detector_aperture > 0:
         csum = np.cumsum(np.insert(i2, 0, 0.0, axis=-1), axis=-1)
-        half = 0.5 * cfg.detector_aperture
-        x2 = cfg.detector_grid.x
-        lo = np.searchsorted(fg.x, x2 - half, side="left")
-        hi = np.searchsorted(fg.x, x2 + half, side="right")
-        counts = hi - lo
-        if np.any(counts <= 0):
-            raise InvalidArgumentError("an aperture window contains no field samples")
-        i2 = (csum[..., hi] - csum[..., lo]) / counts
-
-    # the whole object grid must sample the chirp, not just the span
-    _check_sampling(geom.z1, wavelength, source_field.grid, cfg.object_grid)
-    span, t = _bucket_span(mask, cfg.bucket_window)
-    f1 = fresnel_propagate(source_field, geom.z1, wavelength, span, plan=plans[0])
-    a = f1.amplitude * t
+        i2 = (csum[..., legs.hi] - csum[..., legs.lo]) / legs.counts
+    f1 = fresnel_propagate(source_field, geom.z1, wavelength, legs.span,
+                           plan=bucket_plan)
+    a = f1.amplitude * legs.t
     bucket = np.sum(a.real**2 + a.imag**2, axis=-1) * cfg.object_grid.dx
     return bucket, i2
+
+
+class _Legs:
+    """The two Fresnel legs of a Monte Carlo run, derived once from its
+    configuration: the bucket leg onto the mask's transmitting span (span,
+    its transmission t), the detector leg onto field_grid, the plans of
+    both (bucket, detector) in the form optics._plan picks, the block
+    rows they allow, and with an aperture each detector point's field-grid
+    window [lo, hi) of counts samples. The attributes are set when it is built; simulate_realization
+    only reads them, so threads may share one."""
+
+    def __init__(self, mask: TransmissionMask, geom: OpticalGeometry,
+                 cfg: EnsembleConfig, wavelength: float) -> None:
+        if mask.grid != cfg.object_grid:
+            raise GridMismatchError("mask must live on the configured object grid")
+        sg = cfg.source_grid
+        # the whole object grid must sample the chirp, not just the span
+        _check_sampling(geom.z1, wavelength, sg, cfg.object_grid)
+        self.span, self.t = _bucket_span(mask, cfg.bucket_window)
+        aperture = cfg.detector_aperture > 0
+        self.field_grid = fg = cfg.detector_field_grid if aperture else cfg.detector_grid
+        self.plans = (_plan(sg, self.span, wavelength * geom.z1, 1),
+                      _plan(sg, fg, wavelength * geom.z2, 1))
+        self.rows = _block_size(p.width for p in self.plans)
+        if aperture:
+            half, x2 = 0.5 * cfg.detector_aperture, cfg.detector_grid.x
+            self.lo = np.searchsorted(fg.x, x2 - half, side="left")
+            self.hi = np.searchsorted(fg.x, x2 + half, side="right")
+            self.counts = self.hi - self.lo
+            if np.any(self.counts <= 0):
+                raise InvalidArgumentError("an aperture window contains no field samples")
 
 
 def _bucket_span(mask: TransmissionMask, window: tuple) -> tuple:
@@ -206,16 +231,6 @@ def _bucket_span(mask: TransmissionMask, window: tuple) -> tuple:
     t[lit - lo] = mask.t[lit]
     x = g.x
     return TransverseGrid(float(x[lo]), float(x[hi - 1]), hi - lo), t
-
-
-def _leg_plans(mask: TransmissionMask, geom: OpticalGeometry, cfg: EnsembleConfig,
-               wavelength: float) -> tuple:
-    """The plans of the two arms, as simulate_realization propagates them,
-    each in the form optics._plan_form picks."""
-    sg, span = cfg.source_grid, _bucket_span(mask, cfg.bucket_window)[0]
-    fg = cfg.detector_field_grid if cfg.detector_aperture > 0 else cfg.detector_grid
-    return tuple(_plan_form(sg.n_points, out.n_points)[0](sg, out, wavelength * z, 1)
-                 for out, z in ((span, geom.z1), (fg, geom.z2)))
 
 
 def _block_size(widths) -> int:
@@ -235,14 +250,14 @@ def _mc_records(
     i1 = np.empty(n)
     i2 = np.empty((n, cfg.detector_grid.n_points))
     # built once and shared read-only by every worker
-    plans = _leg_plans(mask, geom, cfg, source.wavelength)
+    legs = _Legs(mask, geom, cfg, source.wavelength)
 
     def work(rows: range) -> None:
         f = draw_source_realization(source, cfg.source_grid, rows, cfg.master_seed)
         i1[rows], i2[rows] = simulate_realization(f, mask, geom, cfg,
-                                                  source.wavelength, plans)
+                                                  source.wavelength, legs)
 
-    b = _block_size(p.width for p in plans)
+    b = legs.rows
     fan_out(work, [range(s, min(n, s + b)) for s in range(0, n, b)], n_workers)
     return i1, i2
 

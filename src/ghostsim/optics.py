@@ -19,7 +19,7 @@ Two execution paths compute the same finite sum:
 
 A plan of one (input grid, output grid, lambda*z, sign) is a _ChirpPlan
 (pre-chirp, kernel spectrum, post-chirp) or a _DirectPlan (the direct
-path's kernel matrix), as _plan_form's cost rule picks. Both transforms
+path's kernel matrix), as _plan's cost rule picks. Both transforms
 take one or build a chirp plan per call; nothing is cached. The Monte
 Carlo builds its two once and shares them read-only among its workers.
 
@@ -61,7 +61,7 @@ __all__ = [
 # |t| may exceed 1 by at most this much (rounding slack, not a feature)
 _MASK_TOL = 1e-12
 
-# _plan_form's cost rule (direct and chirp-z broke even at n*m = 16-20
+# _plan's cost rule (direct and chirp-z broke even at n*m = 16-20
 # nfft*log2(nfft) on a 2-core x86-64 VM with OpenBLAS); 2**20 entries = 16 MB
 _DIRECT_MARGIN, _DIRECT_MAX = 8, 2**20
 
@@ -357,15 +357,14 @@ class _DirectPlan:
         return y[:len(rows)].reshape(v.shape[:-1] + y.shape[-1:])
 
 
-def _plan_form(n_in: int, n_out: int) -> tuple:
-    """The cost rule: (form, size, width) of an n_in -> n_out plan, the
-    (_DirectPlan, matrix entries, longer grid) while n_in*n_out is at most
-    _DIRECT_MAX and _DIRECT_MARGIN * nfft*log2(nfft), else (_ChirpPlan,
-    nfft, nfft)."""
-    nfft = _next_fast_len(n_in + n_out - 1)
-    if n_in * n_out <= min(_DIRECT_MAX, _DIRECT_MARGIN * nfft * np.log2(nfft)):
-        return _DirectPlan, n_in * n_out, max(n_in, n_out)
-    return _ChirpPlan, nfft, nfft
+def _plan(in_grid, out_grid, lambda_z: float, sign: int) -> _ChirpPlan | _DirectPlan:
+    """The plan of one key in the form the cost rule picks: a _DirectPlan
+    while n_in*n_out is at most _DIRECT_MAX and _DIRECT_MARGIN *
+    nfft*log2(nfft), else a _ChirpPlan."""
+    n, m = in_grid.n_points, out_grid.n_points
+    nfft = _next_fast_len(n + m - 1)
+    direct = n * m <= min(_DIRECT_MAX, _DIRECT_MARGIN * nfft * np.log2(nfft))
+    return (_DirectPlan if direct else _ChirpPlan)(in_grid, out_grid, lambda_z, sign)
 
 
 def fresnel_propagate(

@@ -531,22 +531,8 @@ def _resolve_hbt(values: dict, lines: dict) -> None:
                 key=key, line=lines.get(key))
 
 
-def _format_value(v) -> str:
-    if isinstance(v, bool):
-        raise TypeError("no boolean scenario keys")
-    if isinstance(v, int):
-        return str(v)
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
 def dump_scenario(cfg: ScenarioConfig) -> str:
-    """Canonical dump: every resolved key, base SI units, fixed order."""
-    out = []
-    for f in fields(ScenarioConfig):
-        v = getattr(cfg, f.name)
-        if v is None:
-            continue
-        out.append(f"{f.name} = {_format_value(v)}")
-    return "\n".join(out) + "\n"
+    """Canonical dump: every resolved key, base SI units, fixed order; a
+    float prints as repr, which str equals, so it reads back to its bits."""
+    values = ((f.name, getattr(cfg, f.name)) for f in fields(ScenarioConfig))
+    return "".join(f"{k} = {v}\n" for k, v in values if v is not None)

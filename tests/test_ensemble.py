@@ -323,9 +323,9 @@ def _big_source_case(rig, n):
     return gs.TransmissionMask.uniform(rig.object_grid), rig.source, rig.geom, cfg
 
 
-def _leg_plans(case):
+def _legs(case):
     mask, source, geom, cfg = case
-    return ensemble._leg_plans(mask, geom, cfg, source.wavelength)
+    return ensemble._Legs(mask, geom, cfg, source.wavelength)
 
 
 _CASES = {
@@ -350,13 +350,13 @@ _CASES = {
 def test_block_records_match_one_realization_at_a_time(small_rig, case, block):
     # realization counts that no block size divides; 1, 2 and 3 workers
     mask, source, geom, cfg = case_ = _CASES[case](small_rig)
-    plans = _leg_plans(case_)
-    assert ensemble._block_size(p.width for p in plans) == block
-    # bit for bit: the whole ensemble as one block through the same plans
+    legs = _legs(case_)
+    assert ensemble._block_size(p.width for p in legs.plans) == block
+    # bit for bit: the whole ensemble as one block through the same legs
     whole = gs.draw_source_realization(source, cfg.source_grid,
                                        range(cfg.n_realizations), cfg.master_seed)
     one_i1, one_i2 = gs.simulate_realization(whole, mask, geom, cfg,
-                                             source.wavelength, plans)
+                                             source.wavelength, legs)
     for workers in (1, 2, 3):
         i1, i2 = ensemble._mc_records(mask, source, geom, cfg, workers)
         assert np.array_equal(i1, one_i1)
@@ -401,7 +401,7 @@ def test_direct_plan_never_runs_a_one_row_product():
 
 @pytest.mark.parametrize("case", ["fig2", "tiny"])
 def test_direct_plans_match_both_chirp_sums(small_rig, case):
-    for plan in _leg_plans(_CASES[case](small_rig)):
+    for plan in _legs(_CASES[case](small_rig)).plans:
         assert isinstance(plan, optics._DirectPlan)
         n = plan.key[0].n_points
         rng = np.random.default_rng(n)
@@ -415,16 +415,19 @@ def test_direct_plans_match_both_chirp_sums(small_rig, case):
 
 
 def test_cost_rule_picks_each_legs_form(small_rig):
-    assert [type(p) for p in _leg_plans(_fig2_case(2))] == [optics._DirectPlan] * 2
-    assert [type(p) for p in _leg_plans(_big_source_case(small_rig, 2))] == [
+    assert [type(p) for p in _legs(_fig2_case(2)).plans] == [optics._DirectPlan] * 2
+    assert [type(p) for p in _legs(_big_source_case(small_rig, 2)).plans] == [
         optics._ChirpPlan] * 2
     # fig3 by Monte Carlo: 2122 source nodes onto 3362 detector points
-    # (sizes only; its dense matrix would take 114 MB)
+    # (its dense matrix would take 114 MB)
     g = scenario.spatial_grids(gs.parse_scenario(preset_text("fig3")))
-    form = optics._plan_form(g.source.n_points, g.detector.n_points)[0]
-    assert form is optics._ChirpPlan
-    assert optics._plan_form(65, 528) == (optics._DirectPlan, 65 * 528, 528)
-    assert optics._plan_form(528, 65) == (optics._DirectPlan, 65 * 528, 528)
+    lz = 692.9e-9 * 1.7
+    assert type(optics._plan(g.source, g.detector, lz, 1)) is optics._ChirpPlan
+    g65, g528 = gs.make_grid(-0.835e-3, 0.835e-3, 65), gs.make_grid(-6e-3, 6e-3, 528)
+    for gin, gout in ((g65, g528), (g528, g65)):
+        plan = optics._plan(gin, gout, lz, 1)
+        assert (type(plan), plan.matrix.size, plan.width) == (
+            optics._DirectPlan, 65 * 528, 528)
 
 
 def test_bucket_leg_reaches_only_the_transmitting_span(small_rig):
@@ -465,6 +468,36 @@ def test_sampling_is_checked_on_the_whole_object_grid(small_rig):
     span = ensemble._bucket_span(mask, cfg.bucket_window)[0]
     optics._check_sampling(rig.geom.z1, rig.lam, source_grid, span)
     with pytest.raises(SamplingCriterionError, match="output grid"):
+        gs.delta_g2_montecarlo(mask, rig.source, rig.geom, cfg)
+
+
+@pytest.mark.parametrize("n, block", [(4096, None), (64, 1), (64, 7)])
+def test_a_run_derives_its_legs_once(monkeypatch, n, block):
+    # fig2 at its 4096 realizations: one bucket span per run, not per block
+    calls = []
+
+    def counted(*args, _span=ensemble._bucket_span):
+        calls.append(args)
+        return _span(*args)
+
+    monkeypatch.setattr(ensemble, "_bucket_span", counted)
+    if block:
+        monkeypatch.setattr(ensemble, "_block_size", lambda widths: block)
+    mask, source, geom, cfg = _fig2_case(n)
+    ensemble._mc_records(mask, source, geom, cfg, 2)
+    assert len(calls) == 1
+
+
+def test_empty_aperture_window_is_rejected(small_rig):
+    # a 1 um aperture between the 10 um samples of the field grid
+    rig = small_rig
+    cfg = rig.config(4, 3, detector_aperture=1e-6,
+                     detector_field_grid=gs.make_grid(-0.8e-3, 0.8e-3, 161))
+    mask = gs.TransmissionMask.uniform(rig.object_grid)
+    fld = gs.draw_source_realization(rig.source, rig.source_grid, 0, 3)
+    with pytest.raises(InvalidArgumentError, match="contains no field samples"):
+        gs.simulate_realization(fld, mask, rig.geom, cfg, rig.lam)
+    with pytest.raises(InvalidArgumentError, match="contains no field samples"):
         gs.delta_g2_montecarlo(mask, rig.source, rig.geom, cfg)
 
 

@@ -69,9 +69,9 @@ def _leg_lines(text):
     """validate's leg lines from the plans a run of text builds."""
     cfg = gs.parse_scenario(text)
     p = scenario.plan(cfg)
-    plans = ensemble._leg_plans(p.mask, cfg.geometry(z2=cfg.z1),
-                                runner._ensemble_config(cfg, p.grids, cfg.seed),
-                                p.source.wavelength)
+    plans = ensemble._Legs(p.mask, cfg.geometry(z2=cfg.z1),
+                           runner._ensemble_config(cfg, p.grids, cfg.seed),
+                           p.source.wavelength).plans
     rows = ensemble._block_size(q.width for q in plans)
     return [f"{leg} leg: direct, {q.matrix.size} matrix entries, {rows} block rows"
             if isinstance(q, optics._DirectPlan) else
