@@ -24,6 +24,7 @@ from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
+from .coincidence import _linear_filter
 from .ensemble import _Legs
 from .errors import ConfigError, GhostSimError
 from .optics import _DirectPlan
@@ -139,7 +140,9 @@ def _cmd_run(args) -> int:
             raise ConfigError(f"{exc.message} ({note})", key=exc.key) from exc
 
     if cfg.kind == "hbt":
-        import scipy.signal  # noqa: F401  (loaded in set-up, not in the run)
+        # load scipy's compiled filter kernel in set-up, not in the run;
+        # the scipy.signal package itself is never imported
+        _linear_filter()
     profiles, report = run_scenario(cfg, workers=threads)
     written = export_results(profiles, report, cfg.output)
     _write_resolved(cfg, Path(cfg.output))

@@ -2,11 +2,13 @@
 
 A thermal intensity trace I(t) = |E(t)|^2 is generated from a complex
 Ornstein-Uhlenbeck process whose field autocorrelation is exp(-|dt|/tau0)
-(Lorentzian line). Photons are drawn by per-bin Bernoulli thinning of the
-trace, optionally smeared by Gaussian timing jitter and pruned by a
-non-paralyzable dead time. The histogram follows single-stop TAC semantics:
-every start is paired with the first later stop inside the window, so no
-start contributes more than one count.
+(Lorentzian line). Its AR(1) recursion runs in scipy's compiled IIR
+filter, the kernel behind scipy.signal.lfilter, loaded on its own so that
+an hbt run never imports the scipy.signal package. Photons are drawn by
+per-bin Bernoulli thinning of the trace, optionally smeared by Gaussian
+timing jitter and pruned by a non-paralyzable dead time. The histogram
+follows single-stop TAC semantics: every start is paired with the first
+later stop inside the window, so no start contributes more than one count.
 
 Traces and thinning run in fixed blocks of samples, so working memory
 beyond the returned arrays stays bounded whatever the batch duration, and
@@ -28,6 +30,11 @@ by 2/ln2 for the exponential model.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -61,6 +68,10 @@ _LN2 = float(np.log(2.0))
 _BLOCK = 1 << 18
 # Threads that draw thinning blocks; results do not depend on it.
 _THIN_THREADS = 2
+
+# scipy's compiled IIR filter module, which scipy.signal.lfilter calls
+_FILTER_MODULE = "scipy.signal._sigtools"
+_filter_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -140,6 +151,39 @@ def _rng_at(seed: int, word: int) -> Generator:
     return Generator(bits)
 
 
+def _linear_filter():
+    """scipy's compiled IIR filter, called as lfilter calls it:
+    ``out, zf = _linear_filter()(b, a, x, axis, zi)``.
+
+    The extension module is loaded from scipy's signal directory without
+    running scipy.signal's package __init__, whose import would cost most
+    of an hbt run's start-up. It is registered in sys.modules under its own
+    name, so it loads once per process and a later ``import scipy.signal``
+    reuses it.
+    """
+    with _filter_lock:
+        module = sys.modules.get(_FILTER_MODULE)
+        if module is None:
+            scipy = importlib.util.find_spec("scipy")
+            if scipy is None:
+                raise ImportError("kind = hbt needs scipy, which is not "
+                                  "installed", name="scipy")
+            directory = os.path.join(scipy.submodule_search_locations[0],
+                                     "signal")
+            suffixes = importlib.machinery.EXTENSION_SUFFIXES
+            spec = importlib.machinery.FileFinder(
+                directory, (importlib.machinery.ExtensionFileLoader, suffixes)
+            ).find_spec(_FILTER_MODULE)
+            if spec is None:
+                path = os.path.join(directory, "_sigtools" + suffixes[0])
+                raise ImportError(f"scipy's filter kernel {path} is missing",
+                                  name=_FILTER_MODULE, path=path)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            sys.modules[_FILTER_MODULE] = module
+    return module._linear_filter
+
+
 def simulate_intensity_trace(
     tau0: float, duration: float, dt: float, seed: int
 ) -> np.ndarray:
@@ -155,8 +199,6 @@ def simulate_intensity_trace(
     sequential stream in the order a single whole-trace draw would take
     them, so the trace does not depend on block size or thread count.
     """
-    from scipy.signal import lfilter  # slow to import; only HBT runs need it
-
     if tau0 <= 0 or duration <= 0 or dt <= 0:
         raise InvalidArgumentError("tau0, duration, and dt must be positive")
     if dt > tau0 / 10.0 * (1.0 + 1e-12):
@@ -169,9 +211,11 @@ def simulate_intensity_trace(
     rng = _rng_at(seed, 0)
     rho = np.exp(-dt / tau0)
     s = np.sqrt(1.0 - rho * rho)
+    linear_filter = _linear_filter()
     # The normals come in (real, imag) pairs. Filtered as one interleaved
     # sequence, y[k] = rho y[k-2] + s x[k] is one AR(1) step of each
     # quadrature, so the filter state is (rho Re E, rho Im E).
+    num, den = np.array([s]), np.array([1.0, 0.0, -rho])
     state = rho * (rng.standard_normal(2) * np.sqrt(0.5))
     out = np.empty(n)
     normals = [np.empty(2 * _BLOCK), np.empty(2 * _BLOCK)]
@@ -189,7 +233,7 @@ def simulate_intensity_trace(
             if a + m < n:
                 pending = helper.submit(draw, k + 1)
             z *= np.sqrt(0.5)
-            e, state = lfilter([s], [1.0, 0.0, -rho], z, zi=state)
+            e, state = linear_filter(num, den, z, -1, state)
             np.square(e, out=e)
             np.add(e[0::2], e[1::2], out=out[a : a + m])
     return out

@@ -20,7 +20,9 @@ a spatial run's grids, source and mask and rejects what the run would fail
 on: grid sizes, Monte Carlo records (n_realizations x detector points of
 float64, one matrix per sweep row in flight) over 1 GiB, Fresnel aliasing,
 a dark bucket window, an unresolved coherence kernel. parse_scenario and
-the runner both call it.
+the runner both call it. For kind = hbt, parsing rejects a histogram of
+more than 2**20 bins (hbt_window / hbt_bin_width) and a batch whose
+float64 trace (hbt_batch_duration / hbt_dt samples) exceeds 1 GiB.
 
 parse_scenario returns a fully resolved ScenarioConfig (defaults filled);
 dump_scenario emits the canonical form, and parse(dump(cfg)) == cfg.
@@ -63,8 +65,10 @@ _NUMBER_RE = re.compile(
 
 _SPATIAL = ("focused_image", "z2_sweep")
 
+# points of one grid, and bins of one hbt histogram
 _MAX_POINTS = 1 << 20
-# bytes of one Monte Carlo record matrix (n_realizations x detector points)
+# bytes of one Monte Carlo record matrix (n_realizations x detector
+# points), and of one hbt batch's float64 trace
 _RECORD_BUDGET = 1 << 30
 
 _MASK_PARAM_KEYS = {
@@ -524,6 +528,21 @@ def _resolve_hbt(values: dict, lines: dict) -> None:
     if values["hbt_window"] < values["hbt_bin_width"]:
         raise ConfigError("hbt_window must be at least one bin wide",
                           key="hbt_window", line=lines.get("hbt_window"))
+    # start_stop_histogram's bin count and simulate_intensity_trace's
+    # sample count, as floats, so that an overflowing ratio is rejected too
+    bins = np.floor(values["hbt_window"] / values["hbt_bin_width"] + 1e-9)
+    if bins > _MAX_POINTS:
+        raise ConfigError(
+            f"hbt_window / hbt_bin_width gives {bins:.3g} histogram bins "
+            f"(> {_MAX_POINTS})",
+            key="hbt_bin_width", line=lines.get("hbt_bin_width"))
+    size = 8 * np.round(values["hbt_batch_duration"] / values["hbt_dt"])
+    if size > _RECORD_BUDGET:
+        raise ConfigError(
+            f"one batch's trace needs {size / 2**20:.0f} MiB of float64 "
+            f"samples (hbt_batch_duration / hbt_dt), over the "
+            f"{_RECORD_BUDGET >> 20} MiB budget",
+            key="hbt_batch_duration", line=lines.get("hbt_batch_duration"))
     for key in ("start_rate", "stop_rate"):
         if values[key] * values["hbt_dt"] >= 0.1:
             raise ConfigError(

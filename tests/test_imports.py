@@ -12,15 +12,24 @@ import ghostsim as gs
 
 SRC = Path(gs.__file__).resolve().parent
 
-# Runs `ghostsim run` on each scenario with run_scenario replaced by a probe
-# that records whether scipy.signal is loaded at the call, then stops.
+# Runs `ghostsim run` on each scenario with run_scenario wrapped by a probe
+# that records which of WATCHED are loaded at the call; a spatial run stops
+# there, an hbt run goes on and is probed again after it.
 PROBE = """\
 import json, sys
 import ghostsim.cli as cli
-seen = {"start": sorted(m for m in ("scipy.signal", "scipy.stats") if m in sys.modules)}
+WATCHED = ("scipy.signal", "scipy.signal._sigtools", "scipy.stats")
+def loaded():
+    return [m for m in WATCHED if m in sys.modules]
+seen = {"start": loaded()}
+run = cli.run_scenario
 def probe(cfg, workers=1):
-    seen[cfg.kind] = "scipy.signal" in sys.modules
-    raise SystemExit(0)
+    seen[cfg.kind] = loaded()
+    if cfg.kind != "hbt":
+        raise SystemExit(0)
+    out = run(cfg, workers)
+    seen["after hbt"] = loaded()
+    return out
 cli.run_scenario = probe
 for path in sys.argv[1:]:
     try:
@@ -30,35 +39,48 @@ for path in sys.argv[1:]:
 print(json.dumps(seen))
 """
 
+# Four short batches, so that four workers all make a first call into the
+# filter kernel at once.
 TINY_HBT = """\
 kind = hbt
 coherence_time = 0.1 ns
 hbt_dt = 5 ps
-hbt_batch_duration = 40 us
-hbt_batches = 2
+hbt_batch_duration = 4 us
+hbt_batches = 4
 hbt_bin_width = 0.025 ns
 hbt_window = 1.8 ns
 start_rate = 1.8e10
-stop_rate = 5e6
+stop_rate = 5e7
 """
 
 
-def test_startup_leaves_scipy_signal_to_hbt_runs(tmp_path, tiny_scenario_text):
-    # a fresh process: this one has scipy.signal already, via test_fresnel
-    spatial, hbt = tmp_path / "tiny.scenario", tmp_path / "hbt.scenario"
-    spatial.write_text(tiny_scenario_text, encoding="utf-8")
-    hbt.write_text(TINY_HBT, encoding="utf-8")
+def _child(tmp_path, script, *args):
+    """Last stdout line of a fresh interpreter running script, as JSON; this
+    process has scipy.signal already, via test_fresnel."""
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
-    res = subprocess.run([sys.executable, "-c", PROBE, str(spatial), str(hbt)],
+    res = subprocess.run([sys.executable, "-c", script, *map(str, args)],
                          capture_output=True, text=True, env=env, cwd=tmp_path,
                          check=True)
-    seen = json.loads(res.stdout.splitlines()[-1])
-    assert seen == {"start": [], "focused_image": False, "hbt": True}
+    return json.loads(res.stdout.splitlines()[-1])
+
+
+def _scenarios(tmp_path, spatial_text):
+    spatial, hbt = tmp_path / "tiny.scenario", tmp_path / "hbt.scenario"
+    spatial.write_text(spatial_text, encoding="utf-8")
+    hbt.write_text(TINY_HBT, encoding="utf-8")
+    return spatial, hbt
+
+
+def test_startup_leaves_the_filter_kernel_to_hbt_runs(tmp_path, tiny_scenario_text):
+    seen = _child(tmp_path, PROBE, *_scenarios(tmp_path, tiny_scenario_text))
+    # an hbt run loads scipy's compiled filter, never the scipy.signal package
+    assert seen == {"start": [], "focused_image": [],
+                    "hbt": ["scipy.signal._sigtools"],
+                    "after hbt": ["scipy.signal._sigtools"]}
 
 
 # Records the scipy modules loaded after import, at the run call and after
-# the run of a spatial scenario by both routes; then stops an hbt run at its
-# call.
+# the run, of a spatial scenario by both routes and of an hbt scenario.
 SCIPY_PROBE = """\
 import json, sys
 import ghostsim.cli as cli
@@ -68,35 +90,81 @@ seen = {"start": scipy_modules()}
 run = cli.run_scenario
 def probe(cfg, workers=1):
     seen[cfg.kind] = scipy_modules()
-    if cfg.kind == "hbt":
-        raise SystemExit(0)
     out = run(cfg, workers)
-    seen["run"] = scipy_modules()
+    seen[cfg.kind + " run"] = scipy_modules()
     return out
 cli.run_scenario = probe
 seen["exit"] = cli.main(["run", sys.argv[1], "--method", "both"])
-try:
-    cli.main(["run", sys.argv[2]])
-except SystemExit:
-    pass
+seen["hbt exit"] = cli.main(["run", sys.argv[2]])
 print(json.dumps(seen))
 """
 
 
 def test_spatial_runs_load_no_scipy(tmp_path, tiny_scenario_text):
-    spatial, hbt = tmp_path / "tiny.scenario", tmp_path / "hbt.scenario"
-    spatial.write_text(tiny_scenario_text.replace("n_realizations = 384",
-                                                  "n_realizations = 16"),
-                       encoding="utf-8")
+    seen = _child(tmp_path, SCIPY_PROBE, *_scenarios(
+        tmp_path, tiny_scenario_text.replace("n_realizations = 384",
+                                             "n_realizations = 16")))
+    hbt_modules = [seen.pop("hbt"), seen.pop("hbt run")]
+    assert seen == {"start": [], "focused_image": [], "focused_image run": [],
+                    "exit": 0, "hbt exit": 0}
+    for modules in hbt_modules:
+        assert "scipy.signal._sigtools" in modules
+        assert "scipy.signal" not in modules
+
+
+# Loads the kernel first, then scipy.signal, and filters one trace block
+# through both.
+LOAD_ORDER_PROBE = """\
+import json, sys
+import numpy as np
+from ghostsim import coincidence
+kernel = coincidence._linear_filter()
+module = sys.modules.get("scipy.signal._sigtools")
+before = "scipy.signal" in sys.modules
+from scipy.signal import _sigtools, lfilter
+z = np.random.default_rng(5).standard_normal(2 * coincidence._BLOCK)
+rho = np.exp(-0.05)
+s = np.sqrt(1.0 - rho * rho)
+zi = np.array([0.3, -0.2])
+out, zf = kernel(np.array([s]), np.array([1.0, 0.0, -rho]), z, -1, zi)
+ref, ref_zf = lfilter([s], [1.0, 0.0, -rho], z, zi=zi)
+print(json.dumps({"signal before": before,
+                  "one module": _sigtools is module
+                                and module._linear_filter is kernel,
+                  "loaded once": coincidence._linear_filter() is kernel,
+                  "same bits": out.tobytes() == ref.tobytes()
+                               and zf.tobytes() == ref_zf.tobytes()}))
+"""
+
+
+def test_kernel_then_scipy_signal_share_one_module(tmp_path):
+    assert _child(tmp_path, LOAD_ORDER_PROBE) == {
+        "signal before": False, "one module": True, "loaded once": True,
+        "same bits": True}
+
+
+# A library run, with no CLI to load the kernel in set-up: four workers make
+# the first calls into it concurrently.
+CONCURRENT_PROBE = """\
+import json, sys
+import ghostsim as gs
+cfg = gs.parse_scenario(open(sys.argv[1]).read())
+before = "scipy.signal._sigtools" in sys.modules
+runs = [gs.run_scenario(cfg, workers=w)[0][0] for w in (4, 1)]
+print(json.dumps({"kernel before": before,
+                  "signal after": "scipy.signal" in sys.modules,
+                  "histograms": [[h.counts.tolist(), h.total_starts,
+                                  h.total_stops] for h in runs]}))
+"""
+
+
+def test_first_kernel_use_from_four_workers(tmp_path):
+    hbt = tmp_path / "hbt.scenario"
     hbt.write_text(TINY_HBT, encoding="utf-8")
-    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
-    res = subprocess.run([sys.executable, "-c", SCIPY_PROBE, str(spatial), str(hbt)],
-                         capture_output=True, text=True, env=env, cwd=tmp_path,
-                         check=True)
-    seen = json.loads(res.stdout.splitlines()[-1])
-    hbt_modules = seen.pop("hbt")
-    assert seen == {"start": [], "focused_image": [], "run": [], "exit": 0}
-    assert "scipy.signal" in hbt_modules
+    seen = _child(tmp_path, CONCURRENT_PROBE, hbt)
+    four, one = seen.pop("histograms")
+    assert seen == {"kernel before": False, "signal after": False}
+    assert four == one and sum(one[0]) > 0
 
 
 def _module_names(node, local=frozenset()):
@@ -161,6 +229,26 @@ def _hidden_caches(path: Path) -> list:
 
 def test_no_hidden_caches_in_src():
     assert [c for p in sorted(SRC.glob("*.py")) for c in _hidden_caches(p)] == []
+
+
+def _scipy_signal_imports(path: Path) -> list:
+    """Imports of the scipy.signal package or of anything in it."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names = [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+        else:
+            continue
+        if any(n == "scipy.signal" or n.startswith("scipy.signal.") for n in names):
+            found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_no_scipy_signal_imports_in_src():
+    # an hbt run loads only the compiled filter, through coincidence
+    assert [i for p in sorted(SRC.glob("*.py")) for i in _scipy_signal_imports(p)] == []
 
 
 def _private_definitions(tree):

@@ -1,6 +1,9 @@
 """Scenario file grammar, presets, validation diagnostics."""
 
 import dataclasses
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -203,6 +206,72 @@ def test_record_matrix_has_a_byte_budget(tmp_path, capsys, tiny_scenario_text):
     for name in preset_names():
         scen.write_text(preset_text(name))
         assert cli.main(["validate", str(scen)]) == 0
+
+
+# The CLI in a child whose address space is capped at 3 GiB, so that an
+# input that slips past parsing fails the test instead of exhausting memory.
+CAPPED_CLI = """\
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+from ghostsim.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def _hbt_tac_exit_codes(tmp_path, old, new):
+    """(exit code, stderr) of validate and of run on the hbt_tac benchmark
+    scenario with one line replaced."""
+    bench = Path(__file__).resolve().parents[1] / "perfbench" / "scenarios"
+    text = (bench / "hbt_tac.scenario").read_text()
+    assert old in text
+    scen = tmp_path / "hbt.scenario"
+    scen.write_text(text.replace(old, new))
+    env = dict(os.environ, PYTHONPATH=str(Path(gs.__file__).resolve().parents[1]))
+    results = []
+    for args in (["validate", str(scen)],
+                 ["run", str(scen), "--out", str(tmp_path / "out")]):
+        res = subprocess.run([sys.executable, "-c", CAPPED_CLI, *args],
+                             capture_output=True, text=True, env=env,
+                             cwd=tmp_path, timeout=120)
+        results.append((res.returncode, res.stderr))
+    assert not (tmp_path / "out").exists()
+    return results
+
+
+def test_hbt_batch_trace_over_budget_exits_2(tmp_path):
+    # 20 ms at 5 ps is 4e9 samples: a 30 GiB trace per batch
+    for code, err in _hbt_tac_exit_codes(tmp_path, "hbt_batch_duration = 40 us",
+                                         "hbt_batch_duration = 20 ms"):
+        assert code == 2, err
+        assert "key 'hbt_batch_duration'" in err and "MiB budget" in err
+
+
+def test_hbt_histogram_over_max_bins_exits_2(tmp_path):
+    # a 1.8 ns window in 1e-21 s bins is 1.8e12 bins
+    for code, err in _hbt_tac_exit_codes(tmp_path, "hbt_bin_width = 0.025 ns",
+                                         "hbt_bin_width = 1e-9 ps"):
+        assert code == 2, err
+        assert "key 'hbt_bin_width'" in err and "1.8e+12 histogram bins" in err
+
+
+def test_hbt_limits_are_the_run_sizes():
+    # the largest accepted trace and histogram, and one sample or bin more
+    base = preset_text("hbt")
+    top = scenario._RECORD_BUDGET // 8
+    ok = (base.replace("hbt_batch_duration = 40 us",
+                       f"hbt_batch_duration = {top * 5} ps"),
+          base.replace("hbt_window = 1.8 ns",
+                       f"hbt_window = {scenario._MAX_POINTS * 25} ps"))
+    for text in ok:
+        gs.parse_scenario(text)
+    bad = {"hbt_batch_duration": ok[0].replace(f"= {top * 5} ps",
+                                               f"= {(top + 1) * 5} ps"),
+           "hbt_bin_width": ok[1].replace(f"= {scenario._MAX_POINTS * 25} ps",
+                                          f"= {(scenario._MAX_POINTS + 1) * 25} ps")}
+    for key, text in bad.items():
+        with pytest.raises(ConfigError) as exc:
+            gs.parse_scenario(text)
+        assert f"key '{key}'" in str(exc.value)
 
 
 def test_fig3_geometry_runs_by_montecarlo(tmp_path):
