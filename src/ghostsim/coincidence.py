@@ -184,6 +184,16 @@ def _linear_filter():
     return module._linear_filter
 
 
+def _dt_too_coarse(tau0: float, dt: float) -> bool:
+    """dt > tau0 / 10, a trace's bound, which tau0 / 10 itself meets."""
+    return dt > tau0 / 10.0 * (1.0 + 1e-12)
+
+
+def _too_short(tau0: float, duration: float) -> bool:
+    """duration < 100 tau0, a trace's bound, which 100 tau0 itself meets."""
+    return duration < 100.0 * tau0 * (1.0 - 1e-12)
+
+
 def simulate_intensity_trace(
     tau0: float, duration: float, dt: float, seed: int
 ) -> np.ndarray:
@@ -201,11 +211,11 @@ def simulate_intensity_trace(
     """
     if tau0 <= 0 or duration <= 0 or dt <= 0:
         raise InvalidArgumentError("tau0, duration, and dt must be positive")
-    if dt > tau0 / 10.0 * (1.0 + 1e-12):
+    if _dt_too_coarse(tau0, dt):
         raise InvalidArgumentError(
             f"dt = {dt:.3g} s is too coarse; need dt <= tau0/10 = {tau0 / 10:.3g} s"
         )
-    if duration < 100.0 * tau0:
+    if _too_short(tau0, duration):
         raise InvalidArgumentError("duration must be at least 100 * tau0")
     n = int(round(duration / dt))
     rng = _rng_at(seed, 0)

@@ -59,17 +59,18 @@ class NotMeasurableError(GhostSimError):
 class ConfigError(GhostSimError):
     """A scenario file failed to parse or validate.
 
-    Carries the offending line number and key when known so the CLI can
-    print a usable diagnostic.
+    Carries the offending key and line number when known so the CLI can
+    print a usable diagnostic, "line N: key 'k': message"; parse_scenario
+    fills in the line of a key the file sets.
     """
 
     def __init__(self, message: str, *, line: int | None = None, key: str | None = None):
+        super().__init__(message)
         self.message = message
         self.line = line
         self.key = key
-        prefix = ""
-        if line is not None:
-            prefix += f"line {line}: "
-        if key is not None:
-            prefix += f"key '{key}': "
-        super().__init__(prefix + message)
+
+    def __str__(self) -> str:
+        line = "" if self.line is None else f"line {self.line}: "
+        key = "" if self.key is None else f"key '{self.key}': "
+        return line + key + self.message

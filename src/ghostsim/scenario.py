@@ -7,9 +7,10 @@ Grammar, one statement per line:
 Keys are the fields of ScenarioConfig (value type, kinds, default) and are
 strictly checked: unknown keys, keys that do not apply to the declared
 kind, and malformed or mis-suffixed values all raise ConfigError naming
-the offending line and key. Lengths accept m, cm, mm, um (or µm), nm, pm;
-times accept s, ms, us (or µs), ns, ps, fs; bare numbers are base SI.
-Counts and rates are plain numbers.
+the offending key; parse_scenario alone adds the line of a key the file
+sets (of a duplicate key, its second occurrence). Lengths accept m, cm,
+mm, um (or µm), nm, pm; times accept s, ms, us (or µs), ns, ps, fs; bare
+numbers are base SI. Counts and rates are plain numbers.
 
 Auto-sized grids (spatial_grids) follow two rules: windows cover 4x the
 mask extent plus the coherence-kernel width (and, for sweeps, the
@@ -21,8 +22,10 @@ on: grid sizes, Monte Carlo records (n_realizations x detector points of
 float64, one matrix per sweep row in flight) over 1 GiB, Fresnel aliasing,
 a dark bucket window, an unresolved coherence kernel. parse_scenario and
 the runner both call it. For kind = hbt, parsing rejects a histogram of
-more than 2**20 bins (hbt_window / hbt_bin_width) and a batch whose
-float64 trace (hbt_batch_duration / hbt_dt samples) exceeds 1 GiB.
+more than 2**20 bins (hbt_window / hbt_bin_width), a batch whose float64
+trace (hbt_batch_duration / hbt_dt samples) exceeds 1 GiB, and, by the
+comparisons simulate_intensity_trace makes, hbt_dt > coherence_time / 10
+or a batch under 100 coherence times.
 
 parse_scenario returns a fully resolved ScenarioConfig (defaults filled);
 dump_scenario emits the canonical form, and parse(dump(cfg)) == cfg.
@@ -37,6 +40,7 @@ from typing import Optional
 import numpy as np
 
 from .analytic import _check_kernel_resolved
+from .coincidence import _dt_too_coarse, _too_short
 from .errors import ConfigError, InvalidArgumentError, SamplingCriterionError
 from .grid import TransverseGrid, make_grid
 from .optics import (
@@ -247,8 +251,7 @@ def spatial_grids(cfg: ScenarioConfig) -> SpatialGrids:
     if cfg.detector_step:
         m = int(np.floor(det_half / cfg.detector_step + 1e-9))
         if m < 1:
-            raise ConfigError("exceeds half the detector span",
-                              key="detector_step")
+            raise ConfigError("exceeds half the detector span", key="detector_step")
         detector = make_grid(-m * cfg.detector_step, m * cfg.detector_step,
                              2 * m + 1)
     elif cfg.detector_points:
@@ -283,11 +286,9 @@ class RunPlan:
     mask: TransmissionMask
 
 
-def plan(cfg: ScenarioConfig, lines: Optional[dict] = None) -> RunPlan:
+def plan(cfg: ScenarioConfig) -> RunPlan:
     """Plan a spatial scenario's run. Raises ConfigError for any scenario
-    the run would fail on, naming the scenario key that set the failing
-    quantity, if one did, and its line from lines (key -> line number)."""
-    lines = lines or {}
+    the run would fail on, naming the key that set its cause, if one did."""
     grids = spatial_grids(cfg)
 
     if cfg.method != "analytic":
@@ -298,8 +299,7 @@ def plan(cfg: ScenarioConfig, lines: Optional[dict] = None) -> RunPlan:
             raise ConfigError(
                 f"{cfg.n_realizations} realizations x {points} detector points "
                 f"need {size / 2**20:.0f} MiB of float64 records, over the "
-                f"{_RECORD_BUDGET >> 20} MiB budget",
-                key="n_realizations", line=lines.get("n_realizations"))
+                f"{_RECORD_BUDGET >> 20} MiB budget", key="n_realizations")
         # fresnel_propagate's check on each leg: to the object, and to the
         # detector at every z2
         keys = [k for k in ("detector_step", "detector_points") if getattr(cfg, k)]
@@ -313,7 +313,7 @@ def plan(cfg: ScenarioConfig, lines: Optional[dict] = None) -> RunPlan:
                 _check_sampling(z, cfg.wavelength, grids.source, out)
             except SamplingCriterionError as exc:
                 raise ConfigError(f"Monte Carlo leg to z = {z:.6g} m: {exc}",
-                                  key=key, line=lines.get(key)) from exc
+                                  key=key) from exc
 
     # The bucket integrates the mask over its window only; the Monte Carlo
     # sum reads nothing outside it, and the analytic route must not either.
@@ -325,53 +325,49 @@ def plan(cfg: ScenarioConfig, lines: Optional[dict] = None) -> RunPlan:
     if not np.any(mask.t):
         key = "bucket_half_width" if cfg.bucket_half_width else "mask"
         raise ConfigError("the mask transmits nothing inside the bucket window",
-                          key=key, line=lines.get(key))
+                          key=key)
 
     if cfg.method != "montecarlo":
         try:
             _check_kernel_resolved(grids.object, source, cfg.z1)
         except InvalidArgumentError as exc:
             key = "object_points" if cfg.object_points else None
-            raise ConfigError(f"analytic route: {exc}", key=key,
-                              line=lines.get(key)) from exc
+            raise ConfigError(f"analytic route: {exc}", key=key) from exc
     return RunPlan(grids, source, mask)
 
 
-def _parse_number(raw: str, units: Optional[dict], key: str, line: int) -> float:
+def _parse_number(raw: str, units: Optional[dict], key: str) -> float:
     m = _NUMBER_RE.match(raw)
     if not m:
-        raise ConfigError(f"expected a number, got {raw!r}", line=line, key=key)
+        raise ConfigError(f"expected a number, got {raw!r}", key=key)
     value, suffix = float(m.group(1)), m.group(2)
     if not suffix:
         return value
     if units is None or suffix not in units:
         allowed = ", ".join(sorted(units)) if units else "none"
         raise ConfigError(
-            f"unit suffix {suffix!r} not valid here (allowed: {allowed})",
-            line=line, key=key)
+            f"unit suffix {suffix!r} not valid here (allowed: {allowed})", key=key)
     return value * units[suffix]
 
 
-def _parse_value(vtype: str, raw: str, key: str, line: int):
+def _parse_value(vtype: str, raw: str, key: str):
     if vtype == "str":
         return raw
     if vtype.startswith("enum:"):
         allowed = _ENUMS[vtype]
         if raw not in allowed:
             raise ConfigError(
-                f"must be one of {', '.join(allowed)}; got {raw!r}",
-                line=line, key=key)
+                f"must be one of {', '.join(allowed)}; got {raw!r}", key=key)
         return raw
     if vtype == "int":
         if not re.fullmatch(r"[+-]?\d+", raw):
-            raise ConfigError(f"expected an integer, got {raw!r}",
-                              line=line, key=key)
+            raise ConfigError(f"expected an integer, got {raw!r}", key=key)
         return int(raw)
     if vtype == "length":
-        return _parse_number(raw, _LENGTH_UNITS, key, line)
+        return _parse_number(raw, _LENGTH_UNITS, key)
     if vtype == "time":
-        return _parse_number(raw, _TIME_UNITS, key, line)
-    return _parse_number(raw, None, key, line)  # bare float
+        return _parse_number(raw, _TIME_UNITS, key)
+    return _parse_number(raw, None, key)  # bare float
 
 
 def _require(values: dict, keys, context: str) -> None:
@@ -380,83 +376,88 @@ def _require(values: dict, keys, context: str) -> None:
             raise ConfigError(f"missing required key for {context}", key=key)
 
 
-def _positive(values: dict, lines: dict, keys) -> None:
+def _positive(values: dict, keys) -> None:
     for key in keys:
         v = values.get(key)
         if v is not None and v <= 0:
-            raise ConfigError("must be positive", key=key,
-                              line=lines.get(key))
+            raise ConfigError("must be positive", key=key)
 
 
 def parse_scenario(text: str) -> ScenarioConfig:
-    """Parse and validate a scenario document into a ScenarioConfig."""
+    """Parse and validate a scenario document into a ScenarioConfig. A
+    ConfigError that names a key the document sets carries that key's line."""
     values: dict = {}
     lines: dict = {}
-    for lineno, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"expected 'key = value', got {line!r}",
-                              line=lineno)
-        key, _, raw = line.partition("=")
-        key, raw = key.strip(), raw.strip()
-        if key not in _KEY_TABLE:
-            raise ConfigError("unknown key", line=lineno, key=key)
-        if key in values:
-            raise ConfigError("duplicate key", line=lineno, key=key)
-        if not raw:
-            raise ConfigError("empty value", line=lineno, key=key)
-        values[key] = _parse_value(_KEY_TABLE[key][0], raw, key, lineno)
-        lines[key] = lineno
+    try:
+        for lineno, raw_line in enumerate(text.splitlines(), start=1):
+            line = raw_line.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ConfigError(f"expected 'key = value', got {line!r}", line=lineno)
+            key, _, raw = line.partition("=")
+            key, raw = key.strip(), raw.strip()
+            if key not in _KEY_TABLE:
+                raise ConfigError("unknown key", line=lineno, key=key)
+            if key in values:
+                raise ConfigError("duplicate key", line=lineno, key=key)
+            lines[key] = lineno
+            if not raw:
+                raise ConfigError("empty value", key=key)
+            values[key] = _parse_value(_KEY_TABLE[key][0], raw, key)
+        return _resolve(values)
+    except ConfigError as exc:
+        if exc.line is None and exc.key in lines:
+            exc.line = lines[exc.key]
+        raise
 
+
+def _resolve(values: dict) -> ScenarioConfig:
+    """Fill in the defaults of a scenario's values and check them."""
     if "kind" not in values:
         raise ConfigError("missing required key", key="kind")
     kind = values["kind"]
     for key in values:
         if kind not in _KEY_TABLE[key][1]:
-            raise ConfigError(f"key does not apply to kind {kind!r}",
-                              line=lines[key], key=key)
+            raise ConfigError(f"key does not apply to kind {kind!r}", key=key)
 
     # kind, the one key without a default, is set by now
     for key, (_, _, default) in _KEY_TABLE.items():
         if default is not None:
             values.setdefault(key, default)
-    _positive(values, lines, ("wavelength",))
+    _positive(values, ("wavelength",))
     if not 0 <= values["seed"] < 2**64:
         raise ConfigError("must be an unsigned 64-bit integer (0 <= seed < 2^64)",
-                          key="seed", line=lines.get("seed"))
+                          key="seed")
 
     if kind == "hbt":
-        _resolve_hbt(values, lines)
+        _resolve_hbt(values)
     else:
-        _resolve_spatial(kind, values, lines)
+        _resolve_spatial(kind, values)
 
     cfg = ScenarioConfig(**values)
     if kind != "hbt":
-        plan(cfg, lines)
+        plan(cfg)
     return cfg
 
 
-def _resolve_spatial(kind: str, values: dict, lines: dict) -> None:
+def _resolve_spatial(kind: str, values: dict) -> None:
     if kind == "z2_sweep" and values["method"] == "both":
         raise ConfigError(
             "kind z2_sweep runs one method per row; method must be "
-            "montecarlo or analytic", key="method", line=lines.get("method"))
+            "montecarlo or analytic", key="method")
     if values["method"] != "analytic":
         values.setdefault("n_realizations", 4096)
     if values.get("n_realizations") is not None and values["n_realizations"] < 2:
-        raise ConfigError("need at least 2 realizations", key="n_realizations",
-                          line=lines.get("n_realizations"))
+        raise ConfigError("need at least 2 realizations", key="n_realizations")
     _require(values, ("source_radius", "z1", "mask"), f"kind {kind}")
     values.setdefault("source_profile", "uniform")
     values.setdefault("detector_aperture", 0.0)
-    _positive(values, lines, ("source_radius", "z1", "z2", "z2_min", "z2_max",
-                              *_MASK_KEYS, "detector_step", "detector_span",
-                              "object_span", "bucket_half_width"))
+    _positive(values, ("source_radius", "z1", "z2", "z2_min", "z2_max",
+                       *_MASK_KEYS, "detector_step", "detector_span",
+                       "object_span", "bucket_half_width"))
     if values["detector_aperture"] < 0:
-        raise ConfigError("must be non-negative", key="detector_aperture",
-                          line=lines.get("detector_aperture"))
+        raise ConfigError("must be non-negative", key="detector_aperture")
 
     if kind == "focused_image":
         _require(values, ("z2",), "kind focused_image")
@@ -464,45 +465,38 @@ def _resolve_spatial(kind: str, values: dict, lines: dict) -> None:
         _require(values, ("z2_min", "z2_max", "z2_steps"),
                  "kind z2_sweep")
         if values["z2_min"] >= values["z2_max"]:
-            raise ConfigError("sweep bounds must satisfy z2_min < z2_max",
-                              key="z2_min", line=lines.get("z2_min"))
+            raise ConfigError("sweep bounds must satisfy z2_min < z2_max", key="z2_min")
         if values["z2_steps"] < 2:
-            raise ConfigError("need at least 2 sweep steps", key="z2_steps",
-                              line=lines.get("z2_steps"))
+            raise ConfigError("need at least 2 sweep steps", key="z2_steps")
 
     mask = values["mask"]
     needed = _MASK_PARAM_KEYS[mask]
     _require(values, needed, f"mask {mask}")
     for key in _MASK_KEYS:
         if values.get(key) is not None and key not in needed:
-            raise ConfigError(f"key does not apply to mask {mask!r}",
-                              key=key, line=lines.get(key))
+            raise ConfigError(f"key does not apply to mask {mask!r}", key=key)
     if mask == "pinhole_pair":
         if values["mask_separation"] <= 0.5 * (values["mask_diameter_1"]
                                                + values["mask_diameter_2"]):
             raise ConfigError("pinholes overlap: separation must exceed the "
-                              "mean diameter", key="mask_separation",
-                              line=lines.get("mask_separation"))
+                              "mean diameter", key="mask_separation")
     if mask == "double_slit" and values["mask_separation"] <= values["mask_slit_width"]:
         raise ConfigError("slits overlap: center separation must exceed the "
-                          "slit width", key="mask_separation",
-                          line=lines.get("mask_separation"))
+                          "slit width", key="mask_separation")
 
     for key in ("detector_points", "object_points"):
         if values.get(key) is not None and values[key] < 2:
-            raise ConfigError("need at least 2 points", key=key,
-                              line=lines.get(key))
+            raise ConfigError("need at least 2 points", key=key)
 
 
-def _resolve_hbt(values: dict, lines: dict) -> None:
+def _resolve_hbt(values: dict) -> None:
     if values["method"] != "montecarlo":
-        raise ConfigError(
-            "kind hbt has no analytic path; method must be montecarlo",
-            key="method", line=lines.get("method"))
+        raise ConfigError("kind hbt has no analytic path; method must be montecarlo",
+                          key="method")
     _require(values, ("coherence_time",), "kind hbt")
     tau0 = values["coherence_time"]
     # the defaults below divide by these
-    _positive(values, lines, ("coherence_time", "hbt_dt", "hbt_window"))
+    _positive(values, ("coherence_time", "hbt_dt", "hbt_window"))
     values.setdefault("hbt_dt", tau0 / 20.0)
     values.setdefault("hbt_batch_duration", 8_000_000 * values["hbt_dt"])
     values.setdefault("hbt_batches", 84)
@@ -512,42 +506,36 @@ def _resolve_hbt(values: dict, lines: dict) -> None:
     values.setdefault("dead_time", 0.0)
     values.setdefault("start_rate", 0.09 / values["hbt_dt"])
     values.setdefault("stop_rate", 0.009 / values["hbt_window"])
-    _positive(values, lines, ("hbt_batch_duration", "hbt_batches",
-                              "hbt_bin_width", "start_rate", "stop_rate"))
+    _positive(values, ("hbt_batch_duration", "hbt_batches", "hbt_bin_width",
+                       "start_rate", "stop_rate"))
     for key in ("jitter_sigma", "dead_time"):
         if values[key] < 0:
-            raise ConfigError("must be non-negative", key=key,
-                              line=lines.get(key))
-    if values["hbt_dt"] > tau0 / 10.0:
-        raise ConfigError("hbt_dt must not exceed coherence_time / 10",
-                          key="hbt_dt", line=lines.get("hbt_dt"))
-    if values["hbt_batch_duration"] < 100.0 * tau0:
+            raise ConfigError("must be non-negative", key=key)
+    # simulate_intensity_trace's own comparisons
+    if _dt_too_coarse(tau0, values["hbt_dt"]):
+        raise ConfigError("hbt_dt must not exceed coherence_time / 10", key="hbt_dt")
+    if _too_short(tau0, values["hbt_batch_duration"]):
         raise ConfigError("hbt_batch_duration must cover at least 100 "
-                          "coherence times", key="hbt_batch_duration",
-                          line=lines.get("hbt_batch_duration"))
+                          "coherence times", key="hbt_batch_duration")
     if values["hbt_window"] < values["hbt_bin_width"]:
-        raise ConfigError("hbt_window must be at least one bin wide",
-                          key="hbt_window", line=lines.get("hbt_window"))
+        raise ConfigError("hbt_window must be at least one bin wide", key="hbt_window")
     # start_stop_histogram's bin count and simulate_intensity_trace's
     # sample count, as floats, so that an overflowing ratio is rejected too
     bins = np.floor(values["hbt_window"] / values["hbt_bin_width"] + 1e-9)
     if bins > _MAX_POINTS:
         raise ConfigError(
             f"hbt_window / hbt_bin_width gives {bins:.3g} histogram bins "
-            f"(> {_MAX_POINTS})",
-            key="hbt_bin_width", line=lines.get("hbt_bin_width"))
+            f"(> {_MAX_POINTS})", key="hbt_bin_width")
     size = 8 * np.round(values["hbt_batch_duration"] / values["hbt_dt"])
     if size > _RECORD_BUDGET:
         raise ConfigError(
             f"one batch's trace needs {size / 2**20:.0f} MiB of float64 "
             f"samples (hbt_batch_duration / hbt_dt), over the "
-            f"{_RECORD_BUDGET >> 20} MiB budget",
-            key="hbt_batch_duration", line=lines.get("hbt_batch_duration"))
+            f"{_RECORD_BUDGET >> 20} MiB budget", key="hbt_batch_duration")
     for key in ("start_rate", "stop_rate"):
         if values[key] * values["hbt_dt"] >= 0.1:
-            raise ConfigError(
-                "rate * hbt_dt must stay below 0.1 for Bernoulli thinning",
-                key=key, line=lines.get(key))
+            raise ConfigError("rate * hbt_dt must stay below 0.1 for Bernoulli thinning",
+                              key=key)
 
 
 def dump_scenario(cfg: ScenarioConfig) -> str:

@@ -104,6 +104,21 @@ bucket_half_width = 0.6 mm
 """
 
 
+# A small hbt run: four short batches, so that four workers all make a
+# first call into the filter kernel at once.
+TINY_HBT = """\
+kind = hbt
+coherence_time = 0.1 ns
+hbt_dt = 5 ps
+hbt_batch_duration = 4 us
+hbt_batches = 4
+hbt_bin_width = 0.025 ns
+hbt_window = 1.8 ns
+start_rate = 1.8e10
+stop_rate = 5e7
+"""
+
+
 @pytest.fixture(scope="session")
 def tiny_scenario_text():
     return TINY_SCENARIO

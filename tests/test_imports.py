@@ -9,6 +9,7 @@ import sys
 from pathlib import Path
 
 import ghostsim as gs
+from conftest import TINY_HBT
 
 SRC = Path(gs.__file__).resolve().parent
 
@@ -37,20 +38,6 @@ for path in sys.argv[1:]:
     except SystemExit:
         pass
 print(json.dumps(seen))
-"""
-
-# Four short batches, so that four workers all make a first call into the
-# filter kernel at once.
-TINY_HBT = """\
-kind = hbt
-coherence_time = 0.1 ns
-hbt_dt = 5 ps
-hbt_batch_duration = 4 us
-hbt_batches = 4
-hbt_bin_width = 0.025 ns
-hbt_window = 1.8 ns
-start_rate = 1.8e10
-stop_rate = 5e7
 """
 
 

@@ -1,20 +1,28 @@
 """The benchmark's tracing hooks still point at live ghostsim functions.
 
 perfbench/child.py wraps each (module, attribute) pair in its _TRACED table
-when run with --trace 1. A rename or a moved import in ghostsim would only
-show up there as a failed benchmark run, so the table is checked here.
+when run with --trace 1, and its attribute extractors read the wrapped
+calls' arguments by name. A rename or a moved import in ghostsim would only
+show up there as a failed benchmark run, so the table is checked here, and
+traced runs are made.
 """
 
 import importlib
 import importlib.util
 import inspect
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import ghostsim as gs
+from conftest import TINY_HBT, TINY_SCENARIO
 
 CHILD = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
+SRC = Path(gs.__file__).resolve().parents[1]
 
 
 def _traced_table():
@@ -77,3 +85,37 @@ def test_optics_hooks_see_the_calls(monkeypatch, tiny_scenario_text):
     gs.run_scenario(gs.parse_scenario(mc), workers=2)
     assert calls[("ensemble", "fresnel_propagate")] > 0
     assert all(calls[key] > 0 for key in realization)
+
+
+# the attribute names of each span that has an extractor
+_SPAN_ATTRS = {
+    "output.export": {"bytes"},
+    "ensemble.montecarlo": {"realizations", "detector_points"},
+    "optics.fresnel": {"plan"},
+    "optics.chirp": {"plan"},
+    "coincidence.trace": {"samples"},
+    "coincidence.thin": {"rate", "photons"},
+    "coincidence.tac": {"coincidences"},
+}
+_RUN_SPANS = {"scenario.parse", "runner.run", "output.export"}
+
+
+@pytest.mark.parametrize("text, spans", [
+    (TINY_SCENARIO, {"ensemble.montecarlo", "ensemble.draw",
+                     "ensemble.realization", "optics.fresnel"}),
+    (TINY_SWEEP, {"analytic.delta_g2", "optics.chirp"}),
+    (TINY_HBT, {"coincidence.trace", "coincidence.thin", "coincidence.tac",
+                "coincidence.estimate"}),
+], ids=["montecarlo", "sweep", "hbt"])
+def test_traced_run_records_every_span(tmp_path, text, spans):
+    scen, record = tmp_path / "run.scenario", tmp_path / "record.json"
+    scen.write_text(text, encoding="utf-8")
+    res = subprocess.run(
+        [sys.executable, str(CHILD), str(scen), str(record), str(SRC), "--trace"],
+        capture_output=True, text=True, cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=str(SRC)))
+    assert res.returncode == 0, res.stderr
+    recorded = json.loads(record.read_text(encoding="utf-8"))["spans"]
+    assert {span[1] for span in recorded} == _RUN_SPANS | spans
+    for _, name, _, _, _, _, attrs in recorded:
+        assert (None if attrs is None else set(attrs)) == _SPAN_ATTRS.get(name), name

@@ -23,18 +23,23 @@ _UNRUNNABLE = {
     "hbt_dt": preset_text("hbt").replace("hbt_dt = 5 ps", "hbt_dt = 0 ps"),
     "hbt_window": preset_text("hbt").replace("hbt_window = 1.8 ns",
                                              "hbt_window = 0 ns"),
+    "seed-duplicate": TINY_SCENARIO + "seed = 3\n",
 }
 
 
 @pytest.mark.parametrize("case", sorted(_UNRUNNABLE))
 def test_validate_and_run_give_one_verdict(case, tmp_path, capsys):
+    text = _UNRUNNABLE[case]
     scen = tmp_path / "bad.scenario"
-    scen.write_text(_UNRUNNABLE[case])
+    scen.write_text(text)
     key = case.split("-")[0]
+    # every case sets its key; the error points at the last line that does
+    line = max(n for n, stmt in enumerate(text.splitlines(), start=1)
+               if stmt.partition("=")[0].strip() == key)
     for argv in (["validate", str(scen)],
                  ["run", str(scen), "--out", str(tmp_path / "out")]):
         assert cli.main(argv) == 2
-        assert f"key '{key}'" in capsys.readouterr().err
+        assert f"line {line}: key '{key}'" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -386,6 +386,50 @@ def test_hbt_step_must_resolve_coherence_time():
         gs.parse_scenario(text)
 
 
+# (scenario meeting one trace bound exactly, its key, the value at the bound,
+# the value 1% beyond it); rates and batches keep each run small
+_HBT_BOUNDARIES = [
+    ("coherence_time = 0.7 ns\nhbt_dt = 70 ps\nhbt_batch_duration = 20 us\n"
+     "stop_rate = 4e6\n", "hbt_dt", "70 ps", "70.7 ps"),
+    ("coherence_time = 2.3 ns\nhbt_dt = 230 ps\nhbt_batch_duration = 60 us\n"
+     "stop_rate = 1.2e6\n", "hbt_dt", "230 ps", "232.3 ps"),
+    ("coherence_time = 0.1 ns\nhbt_batch_duration = 10 ns\n",
+     "hbt_batch_duration", "10 ns", "9.9 ns"),
+]
+
+
+@pytest.mark.parametrize("body, key, at, beyond", _HBT_BOUNDARIES,
+                         ids=["dt-0.7ns", "dt-2.3ns", "duration-0.1ns"])
+def test_hbt_trace_bounds_include_their_boundaries(tmp_path, capsys, body, key,
+                                                   at, beyond):
+    # dt <= tau0 / 10 and duration >= 100 tau0, as the scenario's values
+    # round: 0.7 ns / 10 < 70 ps and 100 x 0.1 ns > 10 ns in float64
+    text = "kind = hbt\nhbt_batches = 2\n" + body
+    cfg = gs.parse_scenario(text)
+    trace = gs.simulate_intensity_trace(cfg.coherence_time, cfg.hbt_batch_duration,
+                                        cfg.hbt_dt, seed=1)
+    assert trace.size == round(cfg.hbt_batch_duration / cfg.hbt_dt)
+    scen = tmp_path / "edge.scenario"
+    scen.write_text(text)
+    assert cli.main(["validate", str(scen)]) == 0
+    code = cli.main(["run", str(scen), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    if key == "hbt_dt":
+        assert code == 0, err
+    else:
+        # two 10 ns batches catch almost no stops: the run gets past every
+        # trace and stops at the empty histogram's baseline
+        assert code == 3 and "baseline" in err
+
+    with pytest.raises(ConfigError) as exc:
+        gs.parse_scenario(text.replace(f"{key} = {at}", f"{key} = {beyond}"))
+    assert exc.value.key == key
+    dt, duration = ((cfg.hbt_dt * 1.01, cfg.hbt_batch_duration) if key == "hbt_dt"
+                    else (cfg.hbt_dt, cfg.hbt_batch_duration * 0.99))
+    with pytest.raises(gs.InvalidArgumentError):
+        gs.simulate_intensity_trace(cfg.coherence_time, duration, dt, seed=1)
+
+
 @pytest.mark.parametrize("key,old,new", [("hbt_dt", "5 ps", "0 ps"),
                                          ("hbt_window", "1.8 ns", "0 ns")])
 def test_hbt_zero_step_or_window_is_a_config_error(key, old, new):
