@@ -342,7 +342,7 @@ def start_stop_histogram(
     for name, arr in (("starts", starts), ("stops", stops)):
         if arr.ndim != 1:
             raise InvalidArgumentError(f"{name} must be a 1D array of times")
-        if arr.size > 1 and np.any(np.diff(arr) < 0):
+        if np.any(arr[1:] < arr[:-1]):
             raise InvalidArgumentError(f"{name} must be sorted in ascending order")
     n_bins = int(np.floor(window / bin_width + 1e-9))
     centers = (np.arange(n_bins) + 0.5) * bin_width

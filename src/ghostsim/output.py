@@ -3,7 +3,8 @@
 Everything written here is byte-stable for fixed inputs: floats go out
 as 17-significant-digit decimals (exact round-trip), JSON keys are
 sorted, line endings are LF, and no timestamps or runtimes appear in any
-file.
+file. Each file is written as a stream of text chunks, a CSV one row
+block at a time, so writing holds at most one block's text in memory.
 """
 
 from __future__ import annotations
@@ -27,19 +28,15 @@ def _fmt_all(values) -> list:
     return [format(x, ".17g") for x in np.asarray(values, dtype=float).tolist()]
 
 
-def _write_text(path: Path, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+def _csv(header: str, blocks):
+    """The header line, then the lines of each block of formatted columns,
+    one chunk per block."""
+    yield header + "\n"
+    for columns in blocks:
+        yield "".join([",".join(row) + "\n" for row in zip(*columns)])
 
 
-def _csv(header: str, blocks) -> str:
-    """header, then a line per row of each block of formatted columns; one
-    block's strings are alive at a time."""
-    return header + "\n" + "".join(
-        "".join([",".join(row) + "\n" for row in zip(*columns)]) for columns in blocks)
-
-
-def _profile_csv(p: CorrelationProfile) -> str:
+def _profile_csv(p: CorrelationProfile):
     return _csv("x2_m,delta_g2,std_err", [map(_fmt_all, (p.x2, p.delta_g2, p.std_err))])
 
 
@@ -129,18 +126,23 @@ def export_results(profiles, report: MetricsReport, out_dir) -> list:
     sweep.csv in long format; 'both' runs add profile_analytic.csv and
     profile_diff.csv; HBT runs write histogram.csv. metrics.json is always
     written; an empty profile list produces metrics.json alone.
+
+    Every value is computed before its file is opened; only its formatting
+    is streamed, one row block per write, so a sweep's export holds one
+    row's text however many rows it has.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
 
-    def emit(name: str, text: str) -> None:
+    def emit(name: str, chunks) -> None:
         path = out / name
-        _write_text(path, text)
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(chunks)
         written.append(path)
 
     metrics = json.dumps(report.to_json_dict(), sort_keys=True, indent=2)
-    emit("metrics.json", metrics + "\n")
+    emit("metrics.json", (metrics + "\n",))
 
     if not profiles:
         return written
@@ -162,13 +164,13 @@ def export_results(profiles, report: MetricsReport, out_dir) -> list:
             elif role == "difference":
                 emit("profile_diff.csv", _profile_csv(p))
         emit("profile.svg",
-             _svg_plot(main.x2, main.delta_g2, "x2 [m]", "delta g2"))
+             (_svg_plot(main.x2, main.delta_g2, "x2 [m]", "delta g2"),))
 
     for hist in histograms:
         g2 = estimate_g2(hist).g2_curve
         emit("histogram.csv", _csv("delay_s,counts,g2", [(
             _fmt_all(hist.bin_centers), map(str, hist.counts.tolist()), _fmt_all(g2))]))
         emit("profile.svg",
-             _svg_plot(hist.bin_centers, g2, "delay [s]", "g2"))
+             (_svg_plot(hist.bin_centers, g2, "delay [s]", "g2"),))
 
     return written

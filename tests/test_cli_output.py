@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import ghostsim as gs
-from ghostsim import cli
+from ghostsim import cli, output
 from ghostsim.cli import preset_text
 
 
@@ -128,8 +128,39 @@ def _sweep_row(x2, delta, z2, focus=False):
 SPECIAL = [-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, 0.1, -1.7976931348623157e308]
 
 
+@pytest.fixture
+def chunks_written(monkeypatch):
+    """Every chunk of text that ghostsim.output hands to a file, listed
+    under the file's name."""
+    chunks = {}
+
+    class Recorder:
+        def __init__(self, fh, record):
+            self._fh, self._record = fh, record
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return self._fh.__exit__(*exc)
+
+        def write(self, text):
+            self._record.append(text)
+            return self._fh.write(text)
+
+        def writelines(self, lines):
+            for text in lines:
+                self.write(text)
+
+    def recording_open(path, *args, **kwargs):
+        return Recorder(open(path, *args, **kwargs), chunks.setdefault(Path(path).name, []))
+
+    monkeypatch.setattr(output, "open", recording_open, raising=False)
+    return chunks
+
+
 @pytest.mark.parametrize("shared_x2", [True, False], ids=["shared_x2", "own_x2"])
-def test_sweep_and_profile_csv_match_the_oracle(tmp_path, shared_x2):
+def test_sweep_and_profile_csv_match_the_oracle(tmp_path, shared_x2, chunks_written):
     grid = np.linspace(-3e-3, 4e-3, len(SPECIAL))
     grid[3] = 0.0
     # -0.0 == 0.0, yet the two grids print differently
@@ -139,13 +170,28 @@ def test_sweep_and_profile_csv_match_the_oracle(tmp_path, shared_x2):
     rows = [_sweep_row(grids[0], np.linspace(0.0, 1.0, 8), 0.2, focus=True)] + [
         _sweep_row(g, np.roll(SPECIAL, i)[:len(g)], z2)
         for i, (g, z2) in enumerate(zip(grids[1:], [0.25, np.float64(1 / 3), 0.35]), 1)]
+    # 36 rows of 500 points, enough to tell one write per row from one per file
+    wide = np.linspace(-3e-3, 4e-3, 500)
+    rows += [_sweep_row(wide if shared_x2 else wide * (1.0 + k / 50),
+                        np.cos(np.arange(500) * (k + 1) / 7), 0.4 + 0.01 * k)
+             for k in range(36)]
     gs.export_results(rows, gs.MetricsReport(method="analytic", runtime_seconds=0.1),
                       tmp_path)
-    sweep = [(p.metadata["z2"], x, d) for p in rows for x, d in zip(p.x2, p.delta_g2)]
-    assert (tmp_path / "sweep.csv").read_bytes() == oracle_csv("z2_m,x2_m,delta_g2", sweep)
+
+    def lines(p):
+        return [(p.metadata["z2"], x, d) for x, d in zip(p.x2, p.delta_g2)]
+
+    header = "z2_m,x2_m,delta_g2"
+    sweep = [line for p in rows for line in lines(p)]
+    assert (tmp_path / "sweep.csv").read_bytes() == oracle_csv(header, sweep)
+    # no write holds more than the header and one row's lines
+    one_row = max(len(oracle_csv(header, lines(p))) for p in rows)
+    assert max(map(len, chunks_written["sweep.csv"])) <= one_row
     main = rows[0]
     assert (tmp_path / "profile.csv").read_bytes() == oracle_csv(
         "x2_m,delta_g2,std_err", zip(main.x2, main.delta_g2, main.std_err))
+    for name in ("sweep.csv", "profile.csv", "metrics.json", "profile.svg"):
+        assert "".join(chunks_written[name]).encode() == (tmp_path / name).read_bytes()
 
 
 def test_histogram_csv_matches_the_oracle(tmp_path):

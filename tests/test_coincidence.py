@@ -241,6 +241,38 @@ def test_unsorted_input_rejected():
         gs.start_stop_histogram(np.array([1e-9, 0.0]), np.array([2e-9]), 0.5e-9, 5e-9)
 
 
+ORDER_CASES = {
+    "equal": [0.0, 1e-9, 1e-9, 2e-9],
+    "signed-zero": [0.0, -0.0, 0.0],
+    "neg-zero-then-tiny": [-0.0, -5e-324],
+    "nan-inside": [0.0, np.nan, -1e-9],
+    "nan-between-sorted": [0.0, np.nan, 1e-9],
+    "infinities": [-np.inf, 0.0, np.inf, np.inf],
+    "inf-then-finite": [np.inf, 1e-9],
+    "neg-inf-repeated": [-np.inf, -np.inf, -1.7976931348623157e308],
+    "huge-span": [1.7976931348623157e308, -1.7976931348623157e308],
+    "single": [np.nan],
+    "empty": [],
+}
+
+
+@pytest.mark.parametrize("values", list(ORDER_CASES.values()), ids=list(ORDER_CASES))
+def test_order_check_matches_the_difference_form(values):
+    """Comparing neighbours rejects exactly the inputs that a negative
+    np.diff step rejects, NaN, infinities and signed zeros included."""
+    arr = np.array(values, dtype=float)
+    with np.errstate(invalid="ignore", over="ignore"):
+        unsorted = bool(np.any(np.diff(arr) < 0))
+    assert bool(np.any(arr[1:] < arr[:-1])) == unsorted
+    none = np.array([], dtype=float)
+    for starts, stops in ((arr, none), (none, arr)):
+        if unsorted:
+            with pytest.raises(InvalidArgumentError, match="sorted"):
+                gs.start_stop_histogram(starts, stops, 0.5e-9, 5e-9)
+        else:
+            assert gs.start_stop_histogram(starts, stops, 0.5e-9, 5e-9).counts.sum() == 0
+
+
 def test_histogram_validation():
     centers = (np.arange(10) + 0.5) * 1e-9
     with pytest.raises(InvalidArgumentError):
