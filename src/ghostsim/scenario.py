@@ -4,13 +4,14 @@ Grammar, one statement per line:
 
     key = value        # '#' starts a comment, blank lines are ignored
 
-Keys are the fields of ScenarioConfig (value type, kinds, default) and are
-strictly checked: unknown keys, keys that do not apply to the declared
-kind, and malformed or mis-suffixed values all raise ConfigError naming
-the offending key; parse_scenario alone adds the line of a key the file
-sets (of a duplicate key, its second occurrence). Lengths accept m, cm,
-mm, um (or µm), nm, pm; times accept s, ms, us (or µs), ns, ps, fs; bare
-numbers are base SI. Counts and rates are plain numbers.
+Keys are the fields of ScenarioConfig (value type, kinds, default, range)
+and are strictly checked: unknown keys, keys that do not apply to the
+declared kind, malformed or mis-suffixed values and out-of-range values
+all raise ConfigError naming the offending key; parse_scenario alone adds
+the line of a key the file sets (of a duplicate key, its second
+occurrence). Lengths accept m, cm, mm, um (or µm), nm, pm; times accept
+s, ms, us (or µs), ns, ps, fs; bare numbers are base SI. Counts and rates
+are plain numbers.
 
 Auto-sized grids (spatial_grids) follow two rules: windows cover 4x the
 mask extent plus the coherence-kernel width (and, for sweeps, the
@@ -18,14 +19,15 @@ geometric defocus spread of the source), and every grid spacing satisfies
 the Fresnel sampling criterion with a few percent of margin. Explicit
 spans/steps/points from the scenario override the defaults. plan() builds
 a spatial run's grids, source and mask and rejects what the run would fail
-on: grid sizes, Monte Carlo records (n_realizations x detector points of
-float64, one matrix per sweep row in flight) over 1 GiB, Fresnel aliasing,
-a dark bucket window, an unresolved coherence kernel. parse_scenario and
-the runner both call it. For kind = hbt, parsing rejects a histogram of
-more than 2**20 bins (hbt_window / hbt_bin_width), a batch whose float64
-trace (hbt_batch_duration / hbt_dt samples) exceeds 1 GiB, and, by the
-comparisons simulate_intensity_trace makes, hbt_dt > coherence_time / 10
-or a batch under 100 coherence times.
+on: Monte Carlo records (n_realizations x detector points of float64, one
+matrix per sweep row in flight) over 1 GiB, a grid over 2**20 points,
+auto-sized or explicit (object_points and z2_steps by their ranges),
+Fresnel aliasing, a dark bucket window, an unresolved coherence kernel.
+parse_scenario and the runner both call it. For kind = hbt, parsing
+rejects a histogram of under 11 or over 2**20 bins (hbt_window /
+hbt_bin_width), a batch whose float64 trace (hbt_batch_duration / hbt_dt
+samples) exceeds 1 GiB, and, by the comparisons simulate_intensity_trace
+makes, hbt_dt > coherence_time / 10 or a batch under 100 coherence times.
 
 parse_scenario returns a fully resolved ScenarioConfig (defaults filled);
 dump_scenario emits the canonical form, and parse(dump(cfg)) == cfg.
@@ -91,9 +93,12 @@ _ENUMS = {
 }
 
 
-def _key(vtype: str, kinds, default=None):
-    """One scenario key; a None default is left to the kind's resolver."""
-    return field(default=default, metadata={"vtype": vtype, "kinds": kinds})
+def _key(vtype: str, kinds, default=None, least=None, most=None):
+    """One scenario key; a None default is left to the kind's resolver.
+    [least, most] bounds each value a file sets; a length, time or float
+    is also finite and, with no least, positive."""
+    return field(default=default, metadata={"vtype": vtype, "kinds": kinds,
+                                            "range": (least, most)})
 
 
 @dataclass(frozen=True)
@@ -103,7 +108,7 @@ class ScenarioConfig:
 
     kind: str = _key("enum:kind", KINDS, MISSING)
     method: str = _key("enum:method", KINDS, "montecarlo")
-    seed: int = _key("int", KINDS, 12345)
+    seed: int = _key("int", KINDS, 12345, least=0, most=2**64 - 1)
     output: str = _key("str", KINDS, "ghostsim-out")
     wavelength: float = _key("length", KINDS, 6.93e-7)
     source_profile: Optional[str] = _key("enum:profile", _SPATIAL)
@@ -113,30 +118,30 @@ class ScenarioConfig:
     z2: Optional[float] = _key("length", ("focused_image",))
     z2_min: Optional[float] = _key("length", ("z2_sweep",))
     z2_max: Optional[float] = _key("length", ("z2_sweep",))
-    z2_steps: Optional[int] = _key("int", ("z2_sweep",))
+    z2_steps: Optional[int] = _key("int", ("z2_sweep",), least=2, most=_MAX_POINTS)
     mask: Optional[str] = _key("enum:mask", _SPATIAL)
     mask_separation: Optional[float] = _key("length", _SPATIAL)
     mask_diameter_1: Optional[float] = _key("length", _SPATIAL)
     mask_diameter_2: Optional[float] = _key("length", _SPATIAL)
     mask_slit_width: Optional[float] = _key("length", _SPATIAL)
     mask_half_width: Optional[float] = _key("length", _SPATIAL)
-    n_realizations: Optional[int] = _key("int", _SPATIAL)
-    detector_aperture: Optional[float] = _key("length", _SPATIAL)
+    n_realizations: Optional[int] = _key("int", _SPATIAL, least=2)
+    detector_aperture: Optional[float] = _key("length", _SPATIAL, least=0)
     detector_step: Optional[float] = _key("length", _SPATIAL)
     detector_span: Optional[float] = _key("length", _SPATIAL)
-    detector_points: Optional[int] = _key("int", _SPATIAL)
+    detector_points: Optional[int] = _key("int", _SPATIAL, least=2)
     object_span: Optional[float] = _key("length", _SPATIAL)
-    object_points: Optional[int] = _key("int", _SPATIAL)
+    object_points: Optional[int] = _key("int", _SPATIAL, least=2, most=_MAX_POINTS)
     bucket_half_width: Optional[float] = _key("length", _SPATIAL)
     start_rate: Optional[float] = _key("float", ("hbt",))
     stop_rate: Optional[float] = _key("float", ("hbt",))
     hbt_dt: Optional[float] = _key("time", ("hbt",))
     hbt_batch_duration: Optional[float] = _key("time", ("hbt",))
-    hbt_batches: Optional[int] = _key("int", ("hbt",))
+    hbt_batches: Optional[int] = _key("int", ("hbt",), least=1)
     hbt_bin_width: Optional[float] = _key("time", ("hbt",))
     hbt_window: Optional[float] = _key("time", ("hbt",))
-    jitter_sigma: Optional[float] = _key("time", ("hbt",))
-    dead_time: Optional[float] = _key("time", ("hbt",))
+    jitter_sigma: Optional[float] = _key("time", ("hbt",), least=0)
+    dead_time: Optional[float] = _key("time", ("hbt",), least=0)
 
     def source(self) -> SourceSpec:
         if self.source_profile == "gaussian":
@@ -177,6 +182,8 @@ class ScenarioConfig:
 # key -> (value type, kinds the key applies to, default)
 _KEY_TABLE = {f.name: (f.metadata["vtype"], f.metadata["kinds"], f.default)
               for f in fields(ScenarioConfig)}
+# key -> (least, most) of a value the file sets
+_RANGES = {f.name: f.metadata["range"] for f in fields(ScenarioConfig)}
 
 
 @dataclass(frozen=True)
@@ -291,15 +298,21 @@ def plan(cfg: ScenarioConfig) -> RunPlan:
     the run would fail on, naming the key that set its cause, if one did."""
     grids = spatial_grids(cfg)
 
+    # before anything is allocated on the detector grid
+    points = grids.detector.n_points
     if cfg.method != "analytic":
-        # before anything is allocated on the detector grid
-        points = grids.detector.n_points
         size = 8 * cfg.n_realizations * points
         if size > _RECORD_BUDGET:
             raise ConfigError(
                 f"{cfg.n_realizations} realizations x {points} detector points "
                 f"need {size / 2**20:.0f} MiB of float64 records, over the "
                 f"{_RECORD_BUDGET >> 20} MiB budget", key="n_realizations")
+    if points > _MAX_POINTS:
+        key = "detector_step" if cfg.detector_step else "detector_points"
+        raise ConfigError(f"detector grid needs {points} points (> {_MAX_POINTS})",
+                          key=key)
+
+    if cfg.method != "analytic":
         # fresnel_propagate's check on each leg: to the object, and to the
         # detector at every z2
         keys = [k for k in ("detector_step", "detector_points") if getattr(cfg, k)]
@@ -376,11 +389,18 @@ def _require(values: dict, keys, context: str) -> None:
             raise ConfigError(f"missing required key for {context}", key=key)
 
 
-def _positive(values: dict, keys) -> None:
-    for key in keys:
-        v = values.get(key)
-        if v is not None and v <= 0:
+def _check_range(key: str, value) -> None:
+    least, most = _RANGES[key]
+    if isinstance(value, float):
+        if not np.isfinite(value):
+            raise ConfigError("must be a finite number", key=key)
+        if least is None and value <= 0:
             raise ConfigError("must be positive", key=key)
+    if least is not None and value < least:
+        raise ConfigError(f"must be at least {least}" if least else
+                          "must be non-negative", key=key)
+    if most is not None and value > most:
+        raise ConfigError(f"must be at most {most}", key=key)
 
 
 def parse_scenario(text: str) -> ScenarioConfig:
@@ -417,18 +437,15 @@ def _resolve(values: dict) -> ScenarioConfig:
     if "kind" not in values:
         raise ConfigError("missing required key", key="kind")
     kind = values["kind"]
-    for key in values:
+    for key, value in values.items():
         if kind not in _KEY_TABLE[key][1]:
             raise ConfigError(f"key does not apply to kind {kind!r}", key=key)
+        _check_range(key, value)
 
     # kind, the one key without a default, is set by now
     for key, (_, _, default) in _KEY_TABLE.items():
         if default is not None:
             values.setdefault(key, default)
-    _positive(values, ("wavelength",))
-    if not 0 <= values["seed"] < 2**64:
-        raise ConfigError("must be an unsigned 64-bit integer (0 <= seed < 2^64)",
-                          key="seed")
 
     if kind == "hbt":
         _resolve_hbt(values)
@@ -448,16 +465,9 @@ def _resolve_spatial(kind: str, values: dict) -> None:
             "montecarlo or analytic", key="method")
     if values["method"] != "analytic":
         values.setdefault("n_realizations", 4096)
-    if values.get("n_realizations") is not None and values["n_realizations"] < 2:
-        raise ConfigError("need at least 2 realizations", key="n_realizations")
     _require(values, ("source_radius", "z1", "mask"), f"kind {kind}")
     values.setdefault("source_profile", "uniform")
     values.setdefault("detector_aperture", 0.0)
-    _positive(values, ("source_radius", "z1", "z2", "z2_min", "z2_max",
-                       *_MASK_KEYS, "detector_step", "detector_span",
-                       "object_span", "bucket_half_width"))
-    if values["detector_aperture"] < 0:
-        raise ConfigError("must be non-negative", key="detector_aperture")
 
     if kind == "focused_image":
         _require(values, ("z2",), "kind focused_image")
@@ -466,8 +476,6 @@ def _resolve_spatial(kind: str, values: dict) -> None:
                  "kind z2_sweep")
         if values["z2_min"] >= values["z2_max"]:
             raise ConfigError("sweep bounds must satisfy z2_min < z2_max", key="z2_min")
-        if values["z2_steps"] < 2:
-            raise ConfigError("need at least 2 sweep steps", key="z2_steps")
 
     mask = values["mask"]
     needed = _MASK_PARAM_KEYS[mask]
@@ -484,10 +492,6 @@ def _resolve_spatial(kind: str, values: dict) -> None:
         raise ConfigError("slits overlap: center separation must exceed the "
                           "slit width", key="mask_separation")
 
-    for key in ("detector_points", "object_points"):
-        if values.get(key) is not None and values[key] < 2:
-            raise ConfigError("need at least 2 points", key=key)
-
 
 def _resolve_hbt(values: dict) -> None:
     if values["method"] != "montecarlo":
@@ -495,8 +499,6 @@ def _resolve_hbt(values: dict) -> None:
                           key="method")
     _require(values, ("coherence_time",), "kind hbt")
     tau0 = values["coherence_time"]
-    # the defaults below divide by these
-    _positive(values, ("coherence_time", "hbt_dt", "hbt_window"))
     values.setdefault("hbt_dt", tau0 / 20.0)
     values.setdefault("hbt_batch_duration", 8_000_000 * values["hbt_dt"])
     values.setdefault("hbt_batches", 84)
@@ -506,22 +508,19 @@ def _resolve_hbt(values: dict) -> None:
     values.setdefault("dead_time", 0.0)
     values.setdefault("start_rate", 0.09 / values["hbt_dt"])
     values.setdefault("stop_rate", 0.009 / values["hbt_window"])
-    _positive(values, ("hbt_batch_duration", "hbt_batches", "hbt_bin_width",
-                       "start_rate", "stop_rate"))
-    for key in ("jitter_sigma", "dead_time"):
-        if values[key] < 0:
-            raise ConfigError("must be non-negative", key=key)
     # simulate_intensity_trace's own comparisons
     if _dt_too_coarse(tau0, values["hbt_dt"]):
         raise ConfigError("hbt_dt must not exceed coherence_time / 10", key="hbt_dt")
     if _too_short(tau0, values["hbt_batch_duration"]):
         raise ConfigError("hbt_batch_duration must cover at least 100 "
                           "coherence times", key="hbt_batch_duration")
-    if values["hbt_window"] < values["hbt_bin_width"]:
-        raise ConfigError("hbt_window must be at least one bin wide", key="hbt_window")
     # start_stop_histogram's bin count and simulate_intensity_trace's
     # sample count, as floats, so that an overflowing ratio is rejected too
     bins = np.floor(values["hbt_window"] / values["hbt_bin_width"] + 1e-9)
+    # _baseline_region reads bins past ten coherence times, estimated at >= 1 bin
+    if bins < 11:
+        raise ConfigError(f"hbt_window / hbt_bin_width gives {bins:.0f} bins; the "
+                          "baseline past ten coherence times needs 11", key="hbt_window")
     if bins > _MAX_POINTS:
         raise ConfigError(
             f"hbt_window / hbt_bin_width gives {bins:.3g} histogram bins "

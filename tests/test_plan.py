@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import ghostsim as gs
 from ghostsim import ConfigError, cli, ensemble, optics, runner, scenario
 from ghostsim.cli import preset_text
-from conftest import TINY_SCENARIO
+from conftest import TINY_HBT, TINY_SCENARIO
 
 _UNRUNNABLE = {
     "object_points": preset_text("fig3") + "object_points = 64\n",
@@ -24,6 +24,16 @@ _UNRUNNABLE = {
     "hbt_window": preset_text("hbt").replace("hbt_window = 1.8 ns",
                                              "hbt_window = 0 ns"),
     "seed-duplicate": TINY_SCENARIO + "seed = 3\n",
+    # literals that overflow to inf
+    "z1": TINY_SCENARIO.replace("z1 = 30 cm", "z1 = 1e400 m"),
+    "source_radius": TINY_SCENARIO.replace("source_radius = 2 mm",
+                                           "source_radius = 1e400 mm"),
+    # 7 and 10 bins: the baseline needs a bin centre past ten coherence
+    # times, which the estimator never takes to be under one bin
+    "hbt_window-7-bins": TINY_HBT.replace("hbt_window = 1.8 ns",
+                                          "hbt_window = 0.175 ns"),
+    "hbt_window-10-bins": TINY_HBT.replace("hbt_window = 1.8 ns",
+                                           "hbt_window = 0.25 ns"),
 }
 
 

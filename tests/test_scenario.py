@@ -51,10 +51,8 @@ _FULL_CASES = [(kind, mask) for kind in scenario._SPATIAL
                for mask in scenario._MASK_PARAM_KEYS] + [("hbt", None)]
 
 
-@pytest.mark.parametrize("kind,mask", _FULL_CASES,
-                         ids=[f"{k}-{m}" if m else k for k, m in _FULL_CASES])
-def test_round_trip_with_every_key_set(kind, mask):
-    # every key the schema allows for this kind and mask, set explicitly
+def _every_key_set(kind, mask):
+    """Every key the schema allows for this kind and mask, set explicitly."""
     allowed = scenario._MASK_PARAM_KEYS.get(mask, ())
     values = {"kind": kind, "mask": mask}
     for f in dataclasses.fields(gs.ScenarioConfig):
@@ -63,7 +61,13 @@ def test_round_trip_with_every_key_set(kind, mask):
         if f.name in scenario._MASK_KEYS and f.name not in allowed:
             continue
         values[f.name] = _SAMPLE_VALUES[f.name]
-    values = {k: v for k, v in values.items() if v is not None}
+    return {k: v for k, v in values.items() if v is not None}
+
+
+@pytest.mark.parametrize("kind,mask", _FULL_CASES,
+                         ids=[f"{k}-{m}" if m else k for k, m in _FULL_CASES])
+def test_round_trip_with_every_key_set(kind, mask):
+    values = _every_key_set(kind, mask)
     cfg = gs.parse_scenario("".join(f"{k} = {v}\n" for k, v in values.items()))
     assert {k for k, v in dataclasses.asdict(cfg).items()
             if v is not None} == set(values)
@@ -208,6 +212,8 @@ def test_record_matrix_has_a_byte_budget(tmp_path, capsys, tiny_scenario_text):
         assert cli.main(["validate", str(scen)]) == 0
 
 
+_BENCH = Path(__file__).resolve().parents[1] / "perfbench" / "scenarios"
+
 # The CLI in a child whose address space is capped at 3 GiB, so that an
 # input that slips past parsing fails the test instead of exhausting memory.
 CAPPED_CLI = """\
@@ -221,11 +227,16 @@ sys.exit(main(sys.argv[1:]))
 def _hbt_tac_exit_codes(tmp_path, old, new):
     """(exit code, stderr) of validate and of run on the hbt_tac benchmark
     scenario with one line replaced."""
-    bench = Path(__file__).resolve().parents[1] / "perfbench" / "scenarios"
-    text = (bench / "hbt_tac.scenario").read_text()
+    text = (_BENCH / "hbt_tac.scenario").read_text()
     assert old in text
-    scen = tmp_path / "hbt.scenario"
-    scen.write_text(text.replace(old, new))
+    return _capped_exit_codes(tmp_path, text.replace(old, new))
+
+
+def _capped_exit_codes(tmp_path, text):
+    """(exit code, stderr) of validate and of run on text, each in a child
+    under CAPPED_CLI's address-space cap."""
+    scen = tmp_path / "capped.scenario"
+    scen.write_text(text)
     env = dict(os.environ, PYTHONPATH=str(Path(gs.__file__).resolve().parents[1]))
     results = []
     for args in (["validate", str(scen)],
@@ -252,6 +263,22 @@ def test_hbt_histogram_over_max_bins_exits_2(tmp_path):
                                          "hbt_bin_width = 1e-9 ps"):
         assert code == 2, err
         assert "key 'hbt_bin_width'" in err and "1.8e+12 histogram bins" in err
+
+
+@pytest.mark.parametrize("key", ["object_points", "detector_points", "z2_steps"])
+def test_explicit_grid_or_sweep_over_max_points_exits_2(tmp_path, tiny_scenario_text,
+                                                        key):
+    # an explicit size is held to an auto-sized grid's cap before anything
+    # is allocated on it; 1e11 float64 points would take 745 GiB
+    text = (tiny_scenario_text.replace("method = montecarlo", "method = analytic")
+            .replace("detector_step = 25 um\n", ""))
+    if key == "z2_steps":
+        text = (text.replace("kind = focused_image", "kind = z2_sweep")
+                .replace("z2 = 30 cm", "z2_min = 25 cm\nz2_max = 35 cm"))
+    text = _set_key(text, key, "100000000000")
+    for code, err in _capped_exit_codes(tmp_path, text):
+        assert code == 2, err
+        assert f"key '{key}'" in err and str(scenario._MAX_POINTS) in err
 
 
 def test_hbt_limits_are_the_run_sizes():
@@ -315,13 +342,53 @@ def test_validate_rejects_an_aliasing_montecarlo_leg(tmp_path, capsys,
     # the analytic arm propagates no field on these grids
     scen.write_text(no_aperture.replace("method = montecarlo", "method = analytic"))
     assert cli.main(["validate", str(scen)]) == 0
-    bench = Path(__file__).resolve().parents[1] / "perfbench" / "scenarios"
-    texts = [preset_text(name) for name in preset_names()]
-    texts += [p.read_text() for p in sorted(bench.glob("*.scenario"))]
-    assert len(texts) == 6
-    for text in texts:
+    for text in _shipped_texts():
         scen.write_text(text)
         assert cli.main(["validate", str(scen)]) == 0
+
+
+def _shipped_texts():
+    """The presets and the benchmark's scenarios."""
+    texts = [preset_text(name) for name in preset_names()]
+    texts += [p.read_text() for p in sorted(_BENCH.glob("*.scenario"))]
+    assert len(texts) == 6
+    return texts
+
+
+def _set_key(text, key, value):
+    """text with key's statement set to value, appended if text has none."""
+    lines = text.splitlines(keepends=True)
+    for i, line in enumerate(lines):
+        if line.split("#", 1)[0].partition("=")[0].strip() == key:
+            lines[i] = f"{key} = {value}\n"
+            return "".join(lines)
+    return text + f"{key} = {value}\n"
+
+
+# values of every type, sign and scale, including ones that overflow to inf
+_MUTATIONS = ("0", "-1", "1e-9", "1", "2", "1e9", "abc", "7 mm", "0.1 ns",
+              "montecarlo", "both", "70 ps", "1e400", "1e400 mm", "-0")
+
+
+def test_every_mutation_of_a_shipped_scenario_parses_or_is_a_config_error():
+    # each shipped file with each line dropped, and with each key set to
+    # each of _MUTATIONS: parsing returns a config or raises ConfigError,
+    # never a traceback
+    texts = []
+    for text in _shipped_texts():
+        lines = text.splitlines(keepends=True)
+        texts += ["".join(lines[:i] + lines[i + 1:]) for i in range(len(lines))]
+        texts += [_set_key(text, key, value) for key in scenario._KEY_TABLE
+                  for value in _MUTATIONS]
+    escaped = []
+    for text in texts:
+        try:
+            gs.parse_scenario(text)
+        except ConfigError:
+            pass
+        except Exception as exc:  # each escape is reported, not just the first
+            escaped.append(f"{type(exc).__name__}: {exc}")
+    assert escaped == []
 
 
 def test_malformed_line_rejected():
@@ -362,10 +429,36 @@ def test_wrong_unit_dimension_rejected(tiny_scenario_text):
         gs.parse_scenario(text)
 
 
+def _out_of_range(key):
+    """A value just past each end of key's declared range, and one that
+    overflows to inf."""
+    vtype = scenario._KEY_TABLE[key][0]
+    least, most = scenario._RANGES[key]
+    if vtype == "int":
+        return [str(least - 1), "1e400"] + ([] if most is None else [str(most + 1)])
+    unit = {"length": " m", "time": " s", "float": ""}[vtype]
+    return ["0" if least is None else "-1e-300", f"1e400{unit}"]
+
+
 def test_nonpositive_dimension_rejected(tiny_scenario_text):
     text = tiny_scenario_text.replace("source_radius = 2 mm", "source_radius = -2 mm")
     with pytest.raises(ConfigError, match="positive"):
         gs.parse_scenario(text)
+    # every numeric key, in a file that sets every key it can: a key added
+    # to the schema without a range fails here
+    numeric = [k for k, (vtype, _, _) in scenario._KEY_TABLE.items()
+               if vtype in ("int", "length", "time", "float")]
+    for key in numeric:
+        kind, mask = next((k, m) for k, m in _FULL_CASES
+                          if key in _every_key_set(k, m))
+        values = _every_key_set(kind, mask)
+        line = list(values).index(key) + 1
+        for bad in _out_of_range(key):
+            text = "".join(f"{k} = {bad if k == key else v}\n"
+                           for k, v in values.items())
+            with pytest.raises(ConfigError) as exc:
+                gs.parse_scenario(text)
+            assert (exc.value.key, exc.value.line) == (key, line), (key, bad)
 
 
 def test_sweep_bounds_must_order():
