@@ -194,6 +194,11 @@ def _too_short(tau0: float, duration: float) -> bool:
     return duration < 100.0 * tau0 * (1.0 - 1e-12)
 
 
+def _thinning_too_coarse(rate: float, dt: float) -> bool:
+    """rate * dt >= 0.1, where per-bin Bernoulli thinning stops holding."""
+    return rate * dt >= 0.1
+
+
 def simulate_intensity_trace(
     tau0: float, duration: float, dt: float, seed: int
 ) -> np.ndarray:
@@ -282,7 +287,7 @@ def thin_photons(
     """
     if dt <= 0:
         raise InvalidArgumentError("dt must be positive")
-    if det.mean_rate * dt >= 0.1:
+    if _thinning_too_coarse(det.mean_rate, dt):
         raise InvalidArgumentError(
             "mean_rate * dt must stay below 0.1 for the thinning approximation"
         )

@@ -11,23 +11,25 @@ all raise ConfigError naming the offending key; parse_scenario alone adds
 the line of a key the file sets (of a duplicate key, its second
 occurrence). Lengths accept m, cm, mm, um (or µm), nm, pm; times accept
 s, ms, us (or µs), ns, ps, fs; bare numbers are base SI. Counts and rates
-are plain numbers.
+are plain numbers; a count is at most 2**64 - 1.
 
 Auto-sized grids (spatial_grids) follow two rules: windows cover 4x the
 mask extent plus the coherence-kernel width (and, for sweeps, the
 geometric defocus spread of the source), and every grid spacing satisfies
 the Fresnel sampling criterion with a few percent of margin. Explicit
-spans/steps/points from the scenario override the defaults. plan() builds
-a spatial run's grids, source and mask and rejects what the run would fail
-on: Monte Carlo records (n_realizations x detector points of float64, one
-matrix per sweep row in flight) over 1 GiB, a grid over 2**20 points,
-auto-sized or explicit (object_points and z2_steps by their ranges),
-Fresnel aliasing, a dark bucket window, an unresolved coherence kernel.
-parse_scenario and the runner both call it. For kind = hbt, parsing
-rejects a histogram of under 11 or over 2**20 bins (hbt_window /
-hbt_bin_width), a batch whose float64 trace (hbt_batch_duration / hbt_dt
-samples) exceeds 1 GiB, and, by the comparisons simulate_intensity_trace
-makes, hbt_dt > coherence_time / 10 or a batch under 100 coherence times.
+spans, steps and points override them; detector_step and detector_points
+exclude each other. Each size a scenario implies meets its cap as a
+float, before any int(), and names the key that set it (_check_size): a
+grid's 2**20 points, where the grid is computed; 1 GiB of Monte Carlo
+records (n_realizations x detector points of float64, per sweep row in
+flight); for kind = hbt, 2**20 histogram bins and 1 GiB of one batch's
+trace. plan(), which parse_scenario and the runner both call, also
+rejects Fresnel aliasing, a dark bucket window and an unresolved
+coherence kernel. An hbt default is range-checked as a set value is,
+naming the key in the file it derives from; parsing rejects a histogram
+under 11 bins and, by coincidence's own comparisons, a step over
+coherence_time / 10, a batch under 100 coherence times and a rate with
+rate * hbt_dt >= 0.1.
 
 parse_scenario returns a fully resolved ScenarioConfig (defaults filled);
 dump_scenario emits the canonical form, and parse(dump(cfg)) == cfg.
@@ -42,7 +44,7 @@ from typing import Optional
 import numpy as np
 
 from .analytic import _check_kernel_resolved
-from .coincidence import _dt_too_coarse, _too_short
+from .coincidence import _dt_too_coarse, _thinning_too_coarse, _too_short
 from .errors import ConfigError, InvalidArgumentError, SamplingCriterionError
 from .grid import TransverseGrid, make_grid
 from .optics import (
@@ -95,8 +97,10 @@ _ENUMS = {
 
 def _key(vtype: str, kinds, default=None, least=None, most=None):
     """One scenario key; a None default is left to the kind's resolver.
-    [least, most] bounds each value a file sets; a length, time or float
-    is also finite and, with no least, positive."""
+    [least, most] bounds each value a file sets; an int's most defaults to
+    2^64 - 1, so that a product of counts is a finite float, and a length,
+    time or float is also finite and, with no least, positive."""
+    most = 2**64 - 1 if vtype == "int" and most is None else most
     return field(default=default, metadata={"vtype": vtype, "kinds": kinds,
                                             "range": (least, most)})
 
@@ -108,7 +112,7 @@ class ScenarioConfig:
 
     kind: str = _key("enum:kind", KINDS, MISSING)
     method: str = _key("enum:method", KINDS, "montecarlo")
-    seed: int = _key("int", KINDS, 12345, least=0, most=2**64 - 1)
+    seed: int = _key("int", KINDS, 12345, least=0)
     output: str = _key("str", KINDS, "ghostsim-out")
     wavelength: float = _key("length", KINDS, 6.93e-7)
     source_profile: Optional[str] = _key("enum:profile", _SPATIAL)
@@ -195,14 +199,18 @@ class SpatialGrids:
     bucket: tuple
 
 
+def _check_size(count, what: str, key=None, cap=_MAX_POINTS, unit="points") -> None:
+    """ConfigError, naming key, unless count, a size computed as a float
+    before any int(), is at most cap; inf and NaN are over any cap."""
+    if not count <= cap:
+        raise ConfigError(f"{what} {count:.3g} {unit}, over the {cap} {unit} budget",
+                          key=key)
+
+
 def _points(span: float, dx: float, minimum: int = 16) -> int:
-    n = max(minimum, int(np.ceil(span / dx)) + 1)
-    if n > _MAX_POINTS:
-        raise ConfigError(
-            f"auto-sized grid needs {n} points (> {_MAX_POINTS}); "
-            "the geometry is too demanding for this configuration"
-        )
-    return n
+    count = np.ceil(span / dx) + 1 if dx else np.inf
+    _check_size(count, "auto-sized grid needs")
+    return max(minimum, int(count))
 
 
 def spatial_grids(cfg: ScenarioConfig) -> SpatialGrids:
@@ -256,9 +264,10 @@ def spatial_grids(cfg: ScenarioConfig) -> SpatialGrids:
     source_grid = make_grid(lo, hi, n_src)
 
     if cfg.detector_step:
-        m = int(np.floor(det_half / cfg.detector_step + 1e-9))
+        m = np.floor(det_half / cfg.detector_step + 1e-9)
         if m < 1:
             raise ConfigError("exceeds half the detector span", key="detector_step")
+        _check_size(2 * m + 1, "detector grid needs", "detector_step")
         detector = make_grid(-m * cfg.detector_step, m * cfg.detector_step,
                              2 * m + 1)
     elif cfg.detector_points:
@@ -296,21 +305,19 @@ class RunPlan:
 def plan(cfg: ScenarioConfig) -> RunPlan:
     """Plan a spatial scenario's run. Raises ConfigError for any scenario
     the run would fail on, naming the key that set its cause, if one did."""
-    grids = spatial_grids(cfg)
+    try:
+        with np.errstate(all="ignore"):  # an overflow is an inf, over every cap
+            grids = spatial_grids(cfg)
+    except InvalidArgumentError as exc:  # a span that underflowed to 0
+        raise ConfigError(f"cannot build the grids: {exc}") from exc
 
-    # before anything is allocated on the detector grid
+    # before anything is allocated on the detector grid, uncapped only if explicit
     points = grids.detector.n_points
     if cfg.method != "analytic":
-        size = 8 * cfg.n_realizations * points
-        if size > _RECORD_BUDGET:
-            raise ConfigError(
-                f"{cfg.n_realizations} realizations x {points} detector points "
-                f"need {size / 2**20:.0f} MiB of float64 records, over the "
-                f"{_RECORD_BUDGET >> 20} MiB budget", key="n_realizations")
-    if points > _MAX_POINTS:
-        key = "detector_step" if cfg.detector_step else "detector_points"
-        raise ConfigError(f"detector grid needs {points} points (> {_MAX_POINTS})",
-                          key=key)
+        _check_size(8.0 * cfg.n_realizations * points / 2**20,
+                    f"float64 records of {cfg.n_realizations} realizations x {points} "
+                    "detector points need", "n_realizations", _RECORD_BUDGET >> 20, "MiB")
+    _check_size(points, "detector grid needs", "detector_points")
 
     if cfg.method != "analytic":
         # fresnel_propagate's check on each leg: to the object, and to the
@@ -389,18 +396,18 @@ def _require(values: dict, keys, context: str) -> None:
             raise ConfigError(f"missing required key for {context}", key=key)
 
 
-def _check_range(key: str, value) -> None:
+def _out_of_range(key: str, value) -> Optional[str]:
+    """Why value is outside key's range, or None if it is inside."""
     least, most = _RANGES[key]
-    if isinstance(value, float):
-        if not np.isfinite(value):
-            raise ConfigError("must be a finite number", key=key)
-        if least is None and value <= 0:
-            raise ConfigError("must be positive", key=key)
+    if isinstance(value, float) and not np.isfinite(value):
+        return "must be a finite number"
+    if isinstance(value, float) and least is None and value <= 0:
+        return "must be positive"
     if least is not None and value < least:
-        raise ConfigError(f"must be at least {least}" if least else
-                          "must be non-negative", key=key)
+        return f"must be at least {least}" if least else "must be non-negative"
     if most is not None and value > most:
-        raise ConfigError(f"must be at most {most}", key=key)
+        return f"must be at most {most}"
+    return None
 
 
 def parse_scenario(text: str) -> ScenarioConfig:
@@ -440,7 +447,9 @@ def _resolve(values: dict) -> ScenarioConfig:
     for key, value in values.items():
         if kind not in _KEY_TABLE[key][1]:
             raise ConfigError(f"key does not apply to kind {kind!r}", key=key)
-        _check_range(key, value)
+        problem = _out_of_range(key, value)
+        if problem:
+            raise ConfigError(problem, key=key)
 
     # kind, the one key without a default, is set by now
     for key, (_, _, default) in _KEY_TABLE.items():
@@ -468,6 +477,8 @@ def _resolve_spatial(kind: str, values: dict) -> None:
     _require(values, ("source_radius", "z1", "mask"), f"kind {kind}")
     values.setdefault("source_profile", "uniform")
     values.setdefault("detector_aperture", 0.0)
+    if "detector_step" in values and "detector_points" in values:
+        raise ConfigError("cannot be set with detector_step", key="detector_points")
 
     if kind == "focused_image":
         _require(values, ("z2",), "kind focused_image")
@@ -498,41 +509,44 @@ def _resolve_hbt(values: dict) -> None:
         raise ConfigError("kind hbt has no analytic path; method must be montecarlo",
                           key="method")
     _require(values, ("coherence_time",), "kind hbt")
-    tau0 = values["coherence_time"]
-    values.setdefault("hbt_dt", tau0 / 20.0)
-    values.setdefault("hbt_batch_duration", 8_000_000 * values["hbt_dt"])
+    tau0, given = values["coherence_time"], set(values)
+
+    def derive(key: str, source: str, value: float) -> None:
+        # checked as a set value is, before anything divides by it
+        problem = key not in values and _out_of_range(key, value)
+        if problem:
+            raise ConfigError(f"gives default {key} = {value:.3g}, which {problem}",
+                              key=source if source in given else "coherence_time")
+        values.setdefault(key, value)
+
+    derive("hbt_dt", "coherence_time", tau0 / 20.0)
+    derive("hbt_batch_duration", "hbt_dt", 8_000_000 * values["hbt_dt"])
+    derive("hbt_bin_width", "coherence_time", tau0 / 4.0)
+    derive("hbt_window", "coherence_time", 18.0 * tau0)
+    derive("start_rate", "hbt_dt", 0.09 / values["hbt_dt"])
+    derive("stop_rate", "hbt_window", 0.009 / values["hbt_window"])
     values.setdefault("hbt_batches", 84)
-    values.setdefault("hbt_bin_width", tau0 / 4.0)
-    values.setdefault("hbt_window", 18.0 * tau0)
     values.setdefault("jitter_sigma", 0.0)
     values.setdefault("dead_time", 0.0)
-    values.setdefault("start_rate", 0.09 / values["hbt_dt"])
-    values.setdefault("stop_rate", 0.009 / values["hbt_window"])
     # simulate_intensity_trace's own comparisons
     if _dt_too_coarse(tau0, values["hbt_dt"]):
         raise ConfigError("hbt_dt must not exceed coherence_time / 10", key="hbt_dt")
     if _too_short(tau0, values["hbt_batch_duration"]):
         raise ConfigError("hbt_batch_duration must cover at least 100 "
                           "coherence times", key="hbt_batch_duration")
-    # start_stop_histogram's bin count and simulate_intensity_trace's
-    # sample count, as floats, so that an overflowing ratio is rejected too
+    # start_stop_histogram's bins, and simulate_intensity_trace's samples below
     bins = np.floor(values["hbt_window"] / values["hbt_bin_width"] + 1e-9)
     # _baseline_region reads bins past ten coherence times, estimated at >= 1 bin
     if bins < 11:
         raise ConfigError(f"hbt_window / hbt_bin_width gives {bins:.0f} bins; the "
                           "baseline past ten coherence times needs 11", key="hbt_window")
-    if bins > _MAX_POINTS:
-        raise ConfigError(
-            f"hbt_window / hbt_bin_width gives {bins:.3g} histogram bins "
-            f"(> {_MAX_POINTS})", key="hbt_bin_width")
-    size = 8 * np.round(values["hbt_batch_duration"] / values["hbt_dt"])
-    if size > _RECORD_BUDGET:
-        raise ConfigError(
-            f"one batch's trace needs {size / 2**20:.0f} MiB of float64 "
-            f"samples (hbt_batch_duration / hbt_dt), over the "
-            f"{_RECORD_BUDGET >> 20} MiB budget", key="hbt_batch_duration")
+    _check_size(bins, "hbt_window / hbt_bin_width gives", "hbt_bin_width",
+                unit="histogram bins")
+    _check_size(8 * np.round(values["hbt_batch_duration"] / values["hbt_dt"]) / 2**20,
+                "one batch's float64 trace (hbt_batch_duration / hbt_dt) needs",
+                "hbt_batch_duration", _RECORD_BUDGET >> 20, "MiB")
     for key in ("start_rate", "stop_rate"):
-        if values[key] * values["hbt_dt"] >= 0.1:
+        if _thinning_too_coarse(values[key], values["hbt_dt"]):
             raise ConfigError("rate * hbt_dt must stay below 0.1 for Bernoulli thinning",
                               key=key)
 

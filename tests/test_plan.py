@@ -34,6 +34,13 @@ _UNRUNNABLE = {
                                           "hbt_window = 0.175 ns"),
     "hbt_window-10-bins": TINY_HBT.replace("hbt_window = 1.8 ns",
                                            "hbt_window = 0.25 ns"),
+    # finite extremes, each size checked as a float before it is an int
+    "n_realizations-401-digits": TINY_SCENARIO.replace("= 384", "= 1" + "0" * 400),
+    "detector_step-1e-300": TINY_SCENARIO.replace("detector_step = 25 um",
+                                                  "detector_step = 1e-300 m"),
+    "coherence_time-5e-324": "kind = hbt\ncoherence_time = 5e-324\n",
+    # the step and the point count both set the detector grid
+    "detector_points-with-step": TINY_SCENARIO + "detector_points = 100000000000\n",
 }
 
 
@@ -50,6 +57,35 @@ def test_validate_and_run_give_one_verdict(case, tmp_path, capsys):
                  ["run", str(scen), "--out", str(tmp_path / "out")]):
         assert cli.main(argv) == 2
         assert f"line {line}: key '{key}'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+# finite extremes whose auto-sized grids overflow or underflow a float
+_EXTREME_GEOMETRY = {
+    "z1-1e300": TINY_SCENARIO.replace("z1 = 30 cm", "z1 = 1e300 m"),
+    "z1-1e-300": TINY_SCENARIO.replace("z1 = 30 cm", "z1 = 1e-300 m"),
+    "source_radius-1e-300": TINY_SCENARIO.replace("source_radius = 2 mm",
+                                                  "source_radius = 1e-300 m"),
+    "wavelength-1e-300": TINY_SCENARIO.replace("wavelength = 693 nm",
+                                               "wavelength = 1e-300 m"),
+    # an infinite span over an infinite spacing: a NaN point count
+    "wavelength-z1-nan": (TINY_SCENARIO.replace("wavelength = 693 nm",
+                                                "wavelength = 1e170 m")
+                          .replace("z1 = 30 cm", "z1 = 1e140 m")),
+    # half the span underflows to 0: a grid with no width
+    "object_span-5e-324": TINY_SCENARIO + "object_span = 5e-324 m\n",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_EXTREME_GEOMETRY))
+def test_an_extreme_geometry_exits_2_with_a_short_message(case, tmp_path, capsys):
+    scen = tmp_path / "extreme.scenario"
+    scen.write_text(_EXTREME_GEOMETRY[case])
+    for argv in (["validate", str(scen)],
+                 ["run", str(scen), "--out", str(tmp_path / "out")]):
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and len(err) < 120, err
     assert not (tmp_path / "out").exists()
 
 

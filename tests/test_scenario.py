@@ -1,12 +1,17 @@
 """Scenario file grammar, presets, validation diagnostics."""
 
 import dataclasses
+import functools
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ghostsim as gs
 from ghostsim import ConfigError
@@ -51,14 +56,21 @@ _FULL_CASES = [(kind, mask) for kind in scenario._SPATIAL
                for mask in scenario._MASK_PARAM_KEYS] + [("hbt", None)]
 
 
+# the two exclusive ways to set a detector grid: one per spatial kind
+_DETECTOR_GRID_KEY = {"focused_image": "detector_step", "z2_sweep": "detector_points"}
+
+
 def _every_key_set(kind, mask):
-    """Every key the schema allows for this kind and mask, set explicitly."""
+    """Every key the schema allows for this kind and mask, set explicitly,
+    of detector_step and detector_points the one _DETECTOR_GRID_KEY names."""
     allowed = scenario._MASK_PARAM_KEYS.get(mask, ())
     values = {"kind": kind, "mask": mask}
     for f in dataclasses.fields(gs.ScenarioConfig):
         if f.name in values or kind not in f.metadata["kinds"]:
             continue
         if f.name in scenario._MASK_KEYS and f.name not in allowed:
+            continue
+        if f.name in _DETECTOR_GRID_KEY.values() and f.name != _DETECTOR_GRID_KEY[kind]:
             continue
         values[f.name] = _SAMPLE_VALUES[f.name]
     return {k: v for k, v in values.items() if v is not None}
@@ -389,6 +401,104 @@ def test_every_mutation_of_a_shipped_scenario_parses_or_is_a_config_error():
         except Exception as exc:  # each escape is reported, not just the first
             escaped.append(f"{type(exc).__name__}: {exc}")
     assert escaped == []
+
+
+@functools.cache
+def _shipped_numeric_keys():
+    """(text, the numeric keys that apply to its kind and mask) of each
+    shipped file."""
+    cases = []
+    for text in _shipped_texts():
+        cfg = gs.parse_scenario(text)
+        allowed = scenario._MASK_PARAM_KEYS.get(cfg.mask, ())
+        cases.append((text, [k for k, (vtype, kinds, _) in scenario._KEY_TABLE.items()
+                             if vtype in ("int", "length", "time", "float")
+                             and cfg.kind in kinds
+                             and (k not in scenario._MASK_KEYS or k in allowed)]))
+    return cases
+
+
+_UNITS = {"length": ("", " m", " mm", " um", " nm", " pm"),
+          "time": ("", " s", " ms", " ns", " ps", " fs"), "float": ("",)}
+
+
+@st.composite
+def _extreme_values(draw, key):
+    """A value for key from anywhere in float64's finite range, log-uniform
+    over [5e-324, max], with or without a unit; an int of up to 400 digits."""
+    vtype = scenario._KEY_TABLE[key][0]
+    if vtype == "int":
+        return str(draw(st.integers(0, 10 ** draw(st.integers(0, 400)))))
+    log_x = draw(st.floats(math.log(5e-324), math.log(sys.float_info.max)))
+    return f"{min(math.exp(log_x), sys.float_info.max)!r}" + draw(st.sampled_from(
+        _UNITS[vtype]))
+
+
+@st.composite
+def _extreme_scenarios(draw):
+    """A shipped file with one or two of its numeric keys set by _extreme_values."""
+    text, numeric = draw(st.sampled_from(_shipped_numeric_keys()))
+    keys = draw(st.lists(st.sampled_from(numeric), min_size=1, max_size=2, unique=True))
+    for key in keys:
+        text = _set_key(text, key, draw(_extreme_values(key)))
+    return text
+
+
+@settings(max_examples=1000, derandomize=True, database=None, deadline=None)
+@given(_extreme_scenarios())
+def test_every_finite_value_parses_or_is_a_short_config_error(text):
+    # the method suits all wavelengths, so legal values span every decade:
+    # each size is checked as a float before it becomes an int
+    try:
+        gs.parse_scenario(text)
+    except ConfigError as exc:
+        assert len(str(exc)) <= 300, str(exc)
+
+
+# (the file after kind = hbt, the key and line an error names, the default
+# that failed): the default hbt_dt (coherence_time / 20) underflows to 0;
+# the default start_rate (0.09 / hbt_dt) and batch (8e6 hbt_dt) overflow
+_DERIVED_DEFAULTS = [
+    ("coherence_time = 5e-324\n", "coherence_time", 2, "hbt_dt = 0,"),
+    ("coherence_time = 1e-320 s\n", "coherence_time", 2, "start_rate = inf,"),
+    ("coherence_time = 1e307 s\n", "coherence_time", 2, "hbt_batch_duration = inf,"),
+    # derived from a key the file sets, a default names that key
+    ("coherence_time = 1e-300 s\nhbt_dt = 1e-320 s\n", "hbt_dt", 3, "start_rate = inf,"),
+]
+
+
+@pytest.mark.parametrize("body, key, line, default", _DERIVED_DEFAULTS)
+def test_a_derived_default_out_of_range_names_its_source(body, key, line, default):
+    with pytest.raises(ConfigError) as exc:
+        gs.parse_scenario("kind = hbt\n" + body)
+    assert (exc.value.key, exc.value.line) == (key, line)
+    assert f"default {default}" in str(exc.value)
+
+
+@pytest.mark.parametrize("side", ["below", "at"])
+def test_thinning_bound_is_one_comparison(side):
+    # start_rate * hbt_dt < 0.1: parsing and thin_photons draw the line
+    # at the same float
+    base = preset_text("hbt")
+    dt = gs.parse_scenario(base).hbt_dt
+    rate = 0.1 / dt
+    while rate * dt < 0.1:
+        rate = np.nextafter(rate, np.inf)
+    while np.nextafter(rate, 0.0) * dt >= 0.1:
+        rate = np.nextafter(rate, 0.0)
+    if side == "below":
+        rate = np.nextafter(rate, 0.0)
+    text = base.replace("start_rate = 1.8e10", f"start_rate = {float(rate)!r}")
+    det = gs.DetectorSpec(mean_rate=float(rate))
+    if side == "below":
+        assert gs.parse_scenario(text).start_rate == rate
+        assert gs.thin_photons(np.ones(64), dt, det, seed=1).size > 0
+    else:
+        with pytest.raises(ConfigError) as exc:
+            gs.parse_scenario(text)
+        assert exc.value.key == "start_rate"
+        with pytest.raises(gs.InvalidArgumentError):
+            gs.thin_photons(np.ones(64), dt, det, seed=1)
 
 
 def test_malformed_line_rejected():
