@@ -10,15 +10,28 @@ timing jitter and pruned by a non-paralyzable dead time. The histogram
 follows single-stop TAC semantics: every start is paired with the first
 later stop inside the window, so no start contributes more than one count.
 
-Traces and thinning run in fixed blocks of samples, so working memory
-beyond the returned arrays stays bounded whatever the batch duration, and
-part of each block's work goes to helper threads. Every random number is
-still drawn at the position a single whole-array call would give it: the
-trace's normals form one sequential Philox stream whose next block a helper
-draws while the current one is filtered, and thinning uniforms are one
-64-bit Philox word each, so the block that starts at bin a starts at word a
-of its stream. Results therefore do not depend on block size or thread
-count.
+Traces and thinning run in fixed blocks of samples, and part of each
+block's work goes to helper threads. Every random number is still drawn at
+the position a single whole-array call would give it: the trace's normals
+form one sequential Philox stream whose next block a helper draws while the
+current one is filtered, and thinning uniforms are one 64-bit Philox word
+each, so the block that starts at bin a starts at word a of its stream.
+Results therefore do not depend on block size or thread count.
+
+A batch of an HBT run (stream_photons) makes one pass over its trace's
+blocks and never holds the trace. Thinning scales the trace by its mean,
+which is known only after the last block, so the pass keeps two things:
+- the trace's sum, built along numpy's own pairwise-summation tree, so the
+  mean has the bits of trace.mean();
+- each detector's candidate bins, those whose uniform u is below
+  I * rate dt / floor, as (bin, u, I).
+The floor is six standard deviations of the batch mean below 1, clamped to
+[0.9, 0.99]. Once the mean is known, a candidate is a hit if
+u < I * rate dt / mean, the comparison thin_photons makes; for a mean at or
+above the floor that bound is no larger, so the hits are thin_photons'
+own. A batch whose mean falls below the floor is redone by the caller
+through simulate_intensity_trace and thin_photons, which give the same
+events from the whole trace.
 
 g2 estimation normalizes the histogram by its far tail (bins beyond ten
 self-estimated coherence times), takes g2(0) as the Lagrange extrapolation
@@ -65,9 +78,12 @@ _LN2 = float(np.log(2.0))
 
 # Samples per block of trace synthesis and thinning. A multiple of 4, so a
 # thinning block begins on a Philox counter step (four 64-bit words each).
-_BLOCK = 1 << 18
+_BLOCK = 1 << 17
 # Threads that draw thinning blocks; results do not depend on it.
 _THIN_THREADS = 2
+# numpy's pairwise summation sums a range of at most this many samples
+# directly (PW_BLOCKSIZE in its loops_utils.h)
+_LEAF = 128
 
 # scipy's compiled IIR filter module, which scipy.signal.lfilter calls
 _FILTER_MODULE = "scipy.signal._sigtools"
@@ -199,21 +215,8 @@ def _thinning_too_coarse(rate: float, dt: float) -> bool:
     return rate * dt >= 0.1
 
 
-def simulate_intensity_trace(
-    tau0: float, duration: float, dt: float, seed: int
-) -> np.ndarray:
-    """Unit-mean thermal intensity trace sampled every dt.
-
-    E(t) follows the stationary AR(1) discretization of a complex
-    Ornstein-Uhlenbeck process, so <E(t) E*(t + k dt)> = exp(-k dt / tau0)
-    exactly. Requires dt <= tau0 / 10 and duration >= 100 tau0.
-
-    The two quadratures are filtered as real AR(1) sequences in fixed
-    blocks, with the filter state carried across block edges, while a
-    helper thread draws the next block's normals. The normals are one
-    sequential stream in the order a single whole-trace draw would take
-    them, so the trace does not depend on block size or thread count.
-    """
+def _check_trace(tau0: float, duration: float, dt: float) -> int:
+    """simulate_intensity_trace's input checks; returns the sample count."""
     if tau0 <= 0 or duration <= 0 or dt <= 0:
         raise InvalidArgumentError("tau0, duration, and dt must be positive")
     if _dt_too_coarse(tau0, dt):
@@ -222,7 +225,30 @@ def simulate_intensity_trace(
         )
     if _too_short(tau0, duration):
         raise InvalidArgumentError("duration must be at least 100 * tau0")
-    n = int(round(duration / dt))
+    return int(round(duration / dt))
+
+
+def _check_thinning(dt: float, det: DetectorSpec) -> None:
+    """thin_photons' checks on its step and detector."""
+    if dt <= 0:
+        raise InvalidArgumentError("dt must be positive")
+    if _thinning_too_coarse(det.mean_rate, dt):
+        raise InvalidArgumentError(
+            "mean_rate * dt must stay below 0.1 for the thinning approximation"
+        )
+
+
+def _trace_blocks(tau0: float, n: int, dt: float, seed: int):
+    """Yield (a, intensity) for each block of an n-sample thermal trace.
+
+    intensity holds samples a, a + 1, ... of the trace; its buffer is
+    reused once the next block is asked for. The two quadratures are
+    filtered as real AR(1) sequences, with the filter state carried across
+    block edges, while a helper thread draws the next block's normals. The
+    normals are one sequential stream in the order a single whole-trace
+    draw would take them, so the trace does not depend on block size or
+    thread count.
+    """
     rng = _rng_at(seed, 0)
     rho = np.exp(-dt / tau0)
     s = np.sqrt(1.0 - rho * rho)
@@ -232,8 +258,7 @@ def simulate_intensity_trace(
     # quadrature, so the filter state is (rho Re E, rho Im E).
     num, den = np.array([s]), np.array([1.0, 0.0, -rho])
     state = rho * (rng.standard_normal(2) * np.sqrt(0.5))
-    out = np.empty(n)
-    normals = [np.empty(2 * _BLOCK), np.empty(2 * _BLOCK)]
+    normals = [np.empty(2 * min(_BLOCK, n)) for _ in range(2)]
 
     def draw(k: int) -> np.ndarray:
         a = k * _BLOCK
@@ -243,15 +268,99 @@ def simulate_intensity_trace(
     with ThreadPoolExecutor(max_workers=1) as helper:
         pending = helper.submit(draw, 0)
         for k, a in enumerate(range(0, n, _BLOCK)):
-            m = min(_BLOCK, n - a)
             z = pending.result()
-            if a + m < n:
+            if a + _BLOCK < n:
                 pending = helper.submit(draw, k + 1)
             z *= np.sqrt(0.5)
             e, state = linear_filter(num, den, z, -1, state)
             np.square(e, out=e)
-            np.add(e[0::2], e[1::2], out=out[a : a + m])
+            # the normals are spent; their buffer takes the intensities
+            intensity = z[: z.size // 2]
+            np.add(e[0::2], e[1::2], out=intensity)
+            yield a, intensity
+
+
+def simulate_intensity_trace(
+    tau0: float, duration: float, dt: float, seed: int
+) -> np.ndarray:
+    """Unit-mean thermal intensity trace sampled every dt.
+
+    E(t) follows the stationary AR(1) discretization of a complex
+    Ornstein-Uhlenbeck process, so <E(t) E*(t + k dt)> = exp(-k dt / tau0)
+    exactly. Requires dt <= tau0 / 10 and duration >= 100 tau0. The trace
+    is built in fixed blocks (_trace_blocks) and does not depend on block
+    size or thread count.
+    """
+    n = _check_trace(tau0, duration, dt)
+    out = np.empty(n)
+    for a, intensity in _trace_blocks(tau0, n, dt, seed):
+        out[a : a + intensity.size] = intensity
     return out
+
+
+def _pairwise_split(size: int) -> int:
+    """Where numpy's pairwise sum splits a range of more than _LEAF samples."""
+    half = size // 2
+    return half - half % 8
+
+
+class _PairwiseSum:
+    """np.add.reduce of n float64 samples fed in consecutive blocks, to the bit.
+
+    numpy sums a contiguous float64 array along a fixed tree: a range of
+    more than _LEAF samples is the sum of its two halves, split at
+    _pairwise_split, and a leaf is summed eight lanes at a time. A node
+    inside one block is np.add.reduce of that slice, which builds the same
+    tree. A node across a block edge is the sum of its children, and a leaf
+    across one is summed once its samples, carried from block to block, are
+    complete.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self.sums: dict = {}  # (lo, hi) -> sum of a finished node
+        self.carry: list = []  # samples of the leaf across the last edge
+
+    def add(self, a: int, block: np.ndarray, lo: int = 0, hi=None) -> None:
+        """Take samples a to a + block.size, the next ones in order, into
+        the node [lo, hi), by default the root."""
+        hi, b = self.n if hi is None else hi, a + block.size
+        if hi <= a or b <= lo:
+            return
+        if a <= lo and hi <= b:
+            self.sums[lo, hi] = np.add.reduce(block[lo - a : hi - a])
+        elif hi - lo > _LEAF:
+            mid = lo + _pairwise_split(hi - lo)
+            self.add(a, block, lo, mid)
+            self.add(a, block, mid, hi)
+        else:
+            self.carry.append(block[max(lo, a) - a : min(hi, b) - a].copy())
+            if hi <= b:
+                self.sums[lo, hi] = np.add.reduce(np.concatenate(self.carry))
+                self.carry = []
+
+    def total(self, lo: int = 0, hi=None) -> float:
+        """Sum of the node [lo, hi), by default the root, once all its
+        samples were added."""
+        hi = self.n if hi is None else hi
+        s = self.sums.get((lo, hi))
+        if s is None:
+            mid = lo + _pairwise_split(hi - lo)
+            s = self.total(lo, mid) + self.total(mid, hi)
+        return s
+
+
+def _hits(intensity: np.ndarray, u: np.ndarray, scale: float) -> np.ndarray:
+    """Indices of the bins a photon hits: those with u < intensity * scale,
+    u being each bin's uniform."""
+    # u < 1 always, so comparing with the unclipped p equals the
+    # comparison with p clipped to [0, 1]
+    p_max = intensity.max() * scale
+    if p_max < 1.0:
+        # rounding is monotone, so every bin with u < p has u < p_max
+        cand = np.flatnonzero(u < p_max)
+        return cand[u[cand] < intensity[cand] * scale]
+    return np.flatnonzero(u < intensity * scale)
 
 
 def _dead_time_filter(times: np.ndarray, dead_time: float) -> np.ndarray:
@@ -267,6 +376,28 @@ def _dead_time_filter(times: np.ndarray, dead_time: float) -> np.ndarray:
         else:
             keep[i] = False
     return times[keep]
+
+
+def _events(hits: np.ndarray, n: int, dt: float, det: DetectorSpec,
+            seed: int) -> np.ndarray:
+    """Sorted event times of the hit bins of an n-bin trace.
+
+    Each event gets a uniform offset inside its bin, then Gaussian jitter,
+    then the non-paralyzable dead time; the draws continue the seed's
+    Philox stream after its n per-bin uniforms.
+    """
+    rng = _rng_at(seed, n)
+    times = rng.random(hits.size)
+    times += hits
+    times *= dt
+    if det.jitter_sigma > 0:
+        jitter = rng.standard_normal(hits.size)
+        jitter *= det.jitter_sigma
+        times += jitter
+        times.sort()
+    # without jitter the times are already sorted: an offset never
+    # carries an event past the start of the next bin
+    return _dead_time_filter(times, det.dead_time)
 
 
 def thin_photons(
@@ -285,12 +416,7 @@ def thin_photons(
     sits where a single whole-trace draw would put it, so the events do not
     depend on block size or thread count.
     """
-    if dt <= 0:
-        raise InvalidArgumentError("dt must be positive")
-    if _thinning_too_coarse(det.mean_rate, dt):
-        raise InvalidArgumentError(
-            "mean_rate * dt must stay below 0.1 for the thinning approximation"
-        )
+    _check_thinning(dt, det)
     trace = np.asarray(trace, dtype=float)
     if trace.ndim != 1:
         raise InvalidArgumentError("trace must be a 1D intensity array")
@@ -305,28 +431,48 @@ def thin_photons(
         seg = trace[a : a + _BLOCK]
         if np.fmin.reduce(seg) < 0:  # fmin skips NaN: any(seg < 0)
             raise InvalidArgumentError("trace intensities must be non-negative")
-        u = _rng_at(seed, a).random(seg.size)
-        # u < 1 always, so comparing with the unclipped p equals the
-        # comparison with p clipped to [0, 1]
-        p_max = seg.max() * scale
-        if p_max < 1.0:
-            # rounding is monotone, so every bin with u < p has u < p_max
-            cand = np.flatnonzero(u < p_max)
-            hit = cand[u[cand] < seg[cand] * scale]
-        else:
-            hit = np.flatnonzero(u < seg * scale)
-        return hit + a
+        return _hits(seg, _rng_at(seed, a).random(seg.size), scale) + a
 
     hits = np.concatenate(fan_out(hits_in, range(0, trace.size, _BLOCK),
                                   _THIN_THREADS))
-    rng = _rng_at(seed, trace.size)
-    times = (hits + rng.random(hits.size)) * dt
-    if det.jitter_sigma > 0:
-        times = times + rng.standard_normal(hits.size) * det.jitter_sigma
-        times = np.sort(times)
-    # without jitter the times are already sorted: an offset never
-    # carries an event past the start of the next bin
-    return _dead_time_filter(times, det.dead_time)
+    return _events(hits, trace.size, dt, det, seed)
+
+
+def stream_photons(tau0: float, duration: float, dt: float, seed: int,
+                   detectors) -> list | None:
+    """Photon events of each (DetectorSpec, seed) in detectors on one
+    thermal trace, which is never held whole (see the module docstring).
+
+    Returns [thin_photons(simulate_intensity_trace(tau0, duration, dt,
+    seed), dt, det, s) for det, s in detectors], bit for bit, or None if
+    the trace's mean intensity falls below the floor; the caller then
+    takes that path instead.
+    """
+    n = _check_trace(tau0, duration, dt)
+    for det, _ in detectors:
+        _check_thinning(dt, det)
+    # the batch mean's sd is about sqrt(tau0 / duration)
+    floor = min(max(1.0 - 6.0 * np.sqrt(tau0 / (dt * n)), 0.9), 0.99)
+    total = _PairwiseSum(n)
+    found = [[] for _ in detectors]
+    for a, intensity in _trace_blocks(tau0, n, dt, seed):
+        total.add(a, intensity)
+        for (det, s), blocks in zip(detectors, found):
+            u = _rng_at(s, a).random(intensity.size)
+            i = _hits(intensity, u, det.mean_rate * dt / floor)
+            blocks.append((i + a, u[i], intensity[i]))
+    mean_i = total.total() / n
+    if mean_i < floor:
+        return None
+    events = []
+    for (det, s), blocks in zip(detectors, found):
+        scale = det.mean_rate * dt / mean_i
+        hits = []
+        while blocks:  # each block's candidates are freed once filtered
+            index, u, intensity = blocks.pop(0)
+            hits.append(index[u < intensity * scale])
+        events.append(_events(np.concatenate(hits), n, dt, det, s))
+    return events
 
 
 def start_stop_histogram(

@@ -23,6 +23,7 @@ from .coincidence import (
     estimate_g2,
     simulate_intensity_trace,
     start_stop_histogram,
+    stream_photons,
     thin_photons,
 )
 from .ensemble import (CorrelationProfile, EnsembleConfig,
@@ -207,14 +208,16 @@ def _run_hbt(cfg: ScenarioConfig, workers: int):
     tau0 = cfg.coherence_time
 
     def one_batch(b: int) -> CoincidenceHistogram:
-        trace = simulate_intensity_trace(tau0, cfg.hbt_batch_duration,
-                                         cfg.hbt_dt,
-                                         seed=_substream(cfg.seed, 3 * b))
-        starts = thin_photons(trace, cfg.hbt_dt, start_det,
-                              seed=_substream(cfg.seed, 3 * b + 1))
-        stops = thin_photons(trace, cfg.hbt_dt, stop_det,
-                             seed=_substream(cfg.seed, 3 * b + 2))
-        return start_stop_histogram(starts, stops, cfg.hbt_bin_width,
+        seed, *seeds = (_substream(cfg.seed, 3 * b + i) for i in range(3))
+        detectors = list(zip((start_det, stop_det), seeds))
+        events = stream_photons(tau0, cfg.hbt_batch_duration, cfg.hbt_dt,
+                                seed, detectors)
+        if events is None:  # a batch mean below stream_photons' floor
+            trace = simulate_intensity_trace(tau0, cfg.hbt_batch_duration,
+                                             cfg.hbt_dt, seed=seed)
+            events = [thin_photons(trace, cfg.hbt_dt, det, seed=s)
+                      for det, s in detectors]
+        return start_stop_histogram(*events, cfg.hbt_bin_width,
                                     cfg.hbt_window)
 
     batches = fan_out(one_batch, range(cfg.hbt_batches), workers)

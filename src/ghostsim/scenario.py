@@ -23,9 +23,12 @@ float, before any int(), and names the key that set it (_check_size): a
 grid's 2**20 points, where the grid is computed; 1 GiB of Monte Carlo
 records (n_realizations x detector points of float64, per sweep row in
 flight); for kind = hbt, 2**20 histogram bins and 1 GiB of one batch's
-trace. plan(), which parse_scenario and the runner both call, also
-rejects Fresnel aliasing, a dark bucket window and an unresolved
-coherence kernel. An hbt default is range-checked as a set value is,
+trace. An hbt batch streams its trace in blocks and holds it whole only
+when its mean intensity falls below the streamed loop's floor
+(coincidence.stream_photons), which is why the trace keeps its cap.
+plan(), which parse_scenario and the runner both call, also rejects a
+grid whose points do not strictly increase, Fresnel aliasing, a dark
+bucket window and an unresolved coherence kernel. An hbt default is range-checked as a set value is,
 naming the key in the file it derives from; parsing rejects a histogram
 under 11 bins and, by coincidence's own comparisons, a step over
 coherence_time / 10, a batch under 100 coherence times and a rate with
@@ -76,7 +79,7 @@ _SPATIAL = ("focused_image", "z2_sweep")
 # points of one grid, and bins of one hbt histogram
 _MAX_POINTS = 1 << 20
 # bytes of one Monte Carlo record matrix (n_realizations x detector
-# points), and of one hbt batch's float64 trace
+# points), and of one hbt batch's float64 trace, should it be held whole
 _RECORD_BUDGET = 1 << 30
 
 _MASK_PARAM_KEYS = {
@@ -310,7 +313,6 @@ def plan(cfg: ScenarioConfig) -> RunPlan:
             grids = spatial_grids(cfg)
     except InvalidArgumentError as exc:  # a span that underflowed to 0
         raise ConfigError(f"cannot build the grids: {exc}") from exc
-
     # before anything is allocated on the detector grid, uncapped only if explicit
     points = grids.detector.n_points
     if cfg.method != "analytic":
@@ -318,6 +320,20 @@ def plan(cfg: ScenarioConfig) -> RunPlan:
                     f"float64 records of {cfg.n_realizations} realizations x {points} "
                     "detector points need", "n_realizations", _RECORD_BUDGET >> 20, "MiB")
     _check_size(points, "detector grid needs", "detector_points")
+
+    # each grid now has at most 2**20 points; a tiny positive span can still
+    # round its spacing to 0, or its points onto each other
+    detector_key = ("detector_step" if cfg.detector_step
+                    else "detector_span" if cfg.detector_span else None)
+    for name, grid, key in (
+            ("source", grids.source, "source_radius"),
+            ("object", grids.object, "object_span" if cfg.object_span else None),
+            ("detector", grids.detector, detector_key),
+            ("detector field", grids.detector_field,
+             "detector_span" if cfg.detector_span else None)):
+        if grid is not None and not np.all(np.diff(grid.x) > 0):
+            raise ConfigError(f"the {name} grid's {grid.n_points} points are not "
+                              f"strictly increasing (spacing {grid.dx:.3g} m)", key=key)
 
     if cfg.method != "analytic":
         # fresnel_propagate's check on each leg: to the object, and to the

@@ -1,9 +1,12 @@
 """Temporal thermal-light Monte Carlo: traces, thinning, TAC histogram, g2."""
 
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.random import Generator, Philox
 from scipy.signal import lfilter
 
@@ -211,6 +214,104 @@ def test_blocked_draws_match_whole_array_formulas(monkeypatch, request, block, t
         events = gs.thin_photons(trace, dt, det, seed=78)
         assert events.size > 0
         assert np.array_equal(events, whole_array_thinning(trace, dt, det, seed=78))
+
+
+def block_sum(x, block):
+    """x summed by _PairwiseSum, fed in consecutive blocks."""
+    total = coincidence._PairwiseSum(x.size)
+    for a in range(0, x.size, block):
+        total.add(a, x[a : a + block])
+    return total.total()
+
+
+@st.composite
+def _sizes(draw):
+    """(n, block): n up to a few blocks of the module's block size, or of a
+    smaller one, under which a 128-sample leaf straddles one or more edges."""
+    block = draw(st.sampled_from([coincidence._BLOCK, 1000, 129, 100, 7]))
+    return draw(st.integers(1, max(4 * block + 1, 1000))), block
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(_sizes(), st.integers(0, 2**32 - 1))
+@example((coincidence._BLOCK - 1, coincidence._BLOCK), 1)
+@example((coincidence._BLOCK, coincidence._BLOCK), 2)
+@example((coincidence._BLOCK + 1, coincidence._BLOCK), 3)
+@example((8_000_000, coincidence._BLOCK), 4)
+def test_block_sum_is_numpys_pairwise_sum(size, seed):
+    # fails if numpy ever changes the order it sums a float64 array in,
+    # which the streamed mean would then no longer match bit for bit;
+    # summands over many decades make every order give other bits
+    n, block = size
+    rng = np.random.default_rng(seed)
+    x = rng.exponential(size=n)
+    x *= np.exp(rng.normal(0.0, 8.0, n))
+    total = block_sum(x, block)
+    assert total == np.add.reduce(x)
+    assert total / n == x.mean()
+
+
+def whole_trace_events(tau0, duration, dt, seed, detectors):
+    trace = gs.simulate_intensity_trace(tau0, duration, dt, seed=seed)
+    return [gs.thin_photons(trace, dt, det, seed=s) for det, s in detectors]
+
+
+@pytest.mark.parametrize("duration, start, stop", [
+    (5e-7, gs.DetectorSpec(START_RATE), gs.DetectorSpec(5e8)),
+    (BATCH, gs.DetectorSpec(START_RATE), gs.DetectorSpec(5e6)),
+    (1e-6, gs.DetectorSpec(START_RATE, jitter_sigma=3e-11),
+     gs.DetectorSpec(5e8, jitter_sigma=1e-10)),
+    (1e-6, gs.DetectorSpec(START_RATE, dead_time=2e-10),
+     gs.DetectorSpec(5e8, dead_time=1e-9)),
+], ids=["one-block", "preset", "jitter", "dead-time"])
+def test_streamed_events_equal_the_whole_trace_path(duration, start, stop):
+    # 100k samples fit one block, and the preset batch is 8M samples; from
+    # 3600 coherence times on, the floor is six sds below the batch mean
+    detectors = [(start, 31), (stop, 32)]
+    streamed = coincidence.stream_photons(TAU0, duration, DT, 30, detectors)
+    assert streamed is not None
+    whole = whole_trace_events(TAU0, duration, DT, 30, detectors)
+    for ours, theirs in zip(streamed, whole):
+        assert ours.size > 0
+        assert np.array_equal(ours, theirs)
+
+
+def test_short_batches_fall_back_below_the_floor():
+    # 100 coherence times: the batch mean's sd is 0.1, so the 0.9 floor
+    # turns some batches back; the others match the whole-trace path
+    detectors = [(gs.DetectorSpec(START_RATE), 41), (gs.DetectorSpec(5e8), 42)]
+    fallbacks = 0
+    for seed in range(40):
+        streamed = coincidence.stream_photons(TAU0, 100 * TAU0, DT, seed, detectors)
+        if streamed is None:
+            fallbacks += 1
+            assert gs.simulate_intensity_trace(TAU0, 100 * TAU0, DT, seed).mean() < 0.9
+            continue
+        whole = whole_trace_events(TAU0, 100 * TAU0, DT, seed, detectors)
+        assert all(np.array_equal(a, b) for a, b in zip(streamed, whole))
+    assert 1 <= fallbacks < 40
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_streamed_batch_holds_no_trace():
+    # 2M samples: the whole-trace path holds their 16 MB trace, the stream
+    # a few block buffers and the start detector's candidate bins
+    duration = 2_000_000 * DT
+    detectors = [(gs.DetectorSpec(START_RATE), 51), (gs.DetectorSpec(5e6), 52)]
+    coincidence._linear_filter()  # loaded before anything is traced
+    whole = _traced_peak(whole_trace_events, TAU0, duration, DT, 50, detectors)
+    streamed = _traced_peak(coincidence.stream_photons, TAU0, duration, DT, 50,
+                            detectors)
+    assert whole > 16e6
+    assert streamed <= 0.6 * whole, (streamed, whole)
 
 
 # --- start-stop histogram ---

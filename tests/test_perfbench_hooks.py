@@ -100,13 +100,23 @@ _SPAN_ATTRS = {
 _RUN_SPANS = {"scenario.parse", "runner.run", "output.export"}
 
 
+# batches of 100 coherence times, some of which fall below the streamed
+# loop's floor and are redone from a whole trace
+TINY_HBT_FALLBACK = (TINY_HBT.replace("hbt_batch_duration = 4 us",
+                                      "hbt_batch_duration = 10 ns")
+                     .replace("hbt_batches = 4", "hbt_batches = 400")
+                     .replace("stop_rate = 5e7", "stop_rate = 2e7"))
+
+
 @pytest.mark.parametrize("text, spans", [
     (TINY_SCENARIO, {"ensemble.montecarlo", "ensemble.draw",
                      "ensemble.realization", "optics.fresnel"}),
     (TINY_SWEEP, {"analytic.delta_g2", "optics.chirp"}),
-    (TINY_HBT, {"coincidence.trace", "coincidence.thin", "coincidence.tac",
-                "coincidence.estimate"}),
-], ids=["montecarlo", "sweep", "hbt"])
+    # a streamed batch calls neither simulate_intensity_trace nor thin_photons
+    (TINY_HBT, {"coincidence.tac", "coincidence.estimate"}),
+    (TINY_HBT_FALLBACK, {"coincidence.trace", "coincidence.thin",
+                         "coincidence.tac", "coincidence.estimate"}),
+], ids=["montecarlo", "sweep", "hbt", "hbt-fallback"])
 def test_traced_run_records_every_span(tmp_path, text, spans):
     scen, record = tmp_path / "run.scenario", tmp_path / "record.json"
     scen.write_text(text, encoding="utf-8")

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ghostsim as gs
@@ -313,6 +313,18 @@ def test_hbt_limits_are_the_run_sizes():
         assert f"key '{key}'" in str(exc.value)
 
 
+@pytest.mark.parametrize("key, value", [("detector_span", "1e-323 m"),
+                                        ("object_span", "1e-322 m")])
+def test_zero_spacing_grid_exits_2(tmp_path, tiny_scenario_text, key, value):
+    # a positive span whose spacing rounds to 0 would give a profile whose
+    # detector positions are all equal
+    text = _set_key(tiny_scenario_text.replace("detector_step = 25 um\n", ""),
+                    key, value)
+    for code, err in _capped_exit_codes(tmp_path, text):
+        assert code == 2, err
+        assert f"key '{key}'" in err and "not strictly increasing" in err
+
+
 def test_fig3_geometry_runs_by_montecarlo(tmp_path):
     # the source grid is the input of both legs, so z2 < z1 rows no longer
     # alias; fig2 (z2 = z1) keeps its source grid
@@ -446,13 +458,21 @@ def _extreme_scenarios(draw):
 
 @settings(max_examples=1000, derandomize=True, database=None, deadline=None)
 @given(_extreme_scenarios())
+@example(_set_key(preset_text("fig3"), "detector_span", "1e-323 m"))
 def test_every_finite_value_parses_or_is_a_short_config_error(text):
     # the method suits all wavelengths, so legal values span every decade:
-    # each size is checked as a float before it becomes an int
+    # each size is checked as a float before it becomes an int, and a
+    # spatial plan's every grid has strictly increasing points
     try:
-        gs.parse_scenario(text)
+        cfg = gs.parse_scenario(text)
     except ConfigError as exc:
         assert len(str(exc)) <= 300, str(exc)
+        return
+    if cfg.kind != "hbt":
+        grids = scenario.plan(cfg).grids
+        for grid in (grids.source, grids.object, grids.detector,
+                     grids.detector_field):
+            assert grid is None or np.all(np.diff(grid.x) > 0), grid
 
 
 # (the file after kind = hbt, the key and line an error names, the default
